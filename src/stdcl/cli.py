@@ -19,7 +19,6 @@ from .config import (
     load_config,
     parse_set_overrides,
     read_manifest,
-    threads_cap,
     write_manifest,
 )
 from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
@@ -160,7 +159,6 @@ def _load_dataset_checked(path: str, frames: int = 0):
 
 def cmd_train(args) -> int:
     cfg = _resolve_train_config(args)
-    threads_cap()
     _apply_numeric(cfg)
     dataset = _load_dataset_checked(cfg["data.path"], cfg["data.frames"])
     eval_dataset = None

@@ -14,7 +14,6 @@ bit-identically from the manifest alone.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -209,16 +208,3 @@ def read_manifest(path: str) -> RunManifest:
         artifacts=dict(payload.get("artifacts", {})),
     )
 
-
-def threads_cap() -> int:
-    """Validated STDCL_THREADS (caps internal parallelism; 0 = unlimited)."""
-    raw = os.environ.get("STDCL_THREADS", "").strip()
-    if not raw:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"STDCL_THREADS must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"STDCL_THREADS must be a positive integer, got {raw!r}")
-    return value

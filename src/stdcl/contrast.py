@@ -5,14 +5,19 @@ sequence.  Rows hold detached, L2-normalized embeddings; a slot's label
 is set on first write and immutable afterwards.  Invalid (never
 written) slots hold zeros and are excluded from sampling.
 
-Sampling mines the hardest positives (lowest cosine similarity to the
-anchor among same-label rows) and hardest negatives (highest similarity
-among different-label rows), then pads the negatives with uniform
-random draws from the remaining different-label rows.  Similarity ties
-break toward the lower slot index so sampling is fully deterministic
-given the bank state and RNG stream.
+A training step handles a head's whole batch at once.  The B anchors are
+scored against every bank slot by one ``(B, D) @ (D, L)`` product of the
+unit anchors with the bank.  Each row of that score matrix is then mined
+in batch order: the hardest positives (lowest cosine similarity among
+same-label slots) and hardest negatives (highest similarity among
+different-label slots), padded with uniform random draws from the
+remaining different-label slots.  Similarity ties break toward the lower
+slot index, so sampling is fully deterministic given the bank state and
+RNG stream.  ``sample_contrast`` and ``info_nce`` are the batch-of-one
+case of the same code.
 
-Two loss forms are provided:
+All B losses are one tape node that reads its similarities from the
+same score matrix.  Two loss forms are provided:
 
 * ``exponentiated`` (default): standard InfoNCE with temperature --
   per positive ``log(exp(sp/tau) + sum_n exp(sn/tau)) - sp/tau``,
@@ -24,7 +29,8 @@ Two loss forms are provided:
   below and positives with a non-positive numerator are skipped and
   counted.
 
-Gradients flow into the anchor embedding only; bank rows are constants.
+Gradients flow into the anchor embeddings only; bank rows are constants.
+The backward pass reads the bank, so bank writes wait until after it.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import numpy as np
 
 from . import instrumentation
 from . import tensor as tz
-from .errors import BankIntegrityError, ConfigError, NumericError
+from .errors import BankIntegrityError, ConfigError, DegenerateVectorError, DimensionError, NumericError
 from .rng import seeded_rng
 from .tensor import NORM_EPSILON, Tensor
 
@@ -142,6 +148,63 @@ class ContrastSample:
         return np.concatenate([self.hard_negatives, self.random_negatives])
 
 
+def _unit_rows(anchors: np.ndarray, where: str) -> tuple[np.ndarray, np.ndarray]:
+    """Row-normalized float64 copy of (B, D) anchors, and the row norms."""
+    rows = np.asarray(anchors, dtype=np.float64)
+    norms = np.linalg.norm(rows, axis=1)
+    if not np.isfinite(rows).all() or (norms < NORM_EPSILON).any():
+        raise DegenerateVectorError(f"{where}: anchor embedding is degenerate")
+    return rows / norms[:, None], norms
+
+
+def sample_batch(
+    bank: MemoryBank,
+    anchors: np.ndarray,
+    labels,
+    indices,
+    cfg: ContrastConfig,
+    rng,
+) -> tuple[np.ndarray, list]:
+    """Mine a contrastive sample for each row of (B, D) `anchors`.
+
+    Returns (scores, samples): scores[b, j] is the cosine similarity of
+    anchor b to bank slot j, from one product with the whole bank, and
+    samples[b] is anchor b's ContrastSample, or None if either side of its
+    pool is empty.  Rows are mined in batch order, so the random negatives
+    are the draws that B one-anchor calls would take from `rng`.
+    """
+    units, _ = _unit_rows(anchors, "contrast sampling")
+    if len(labels) != units.shape[0] or len(indices) != units.shape[0]:
+        raise DimensionError(
+            f"contrast sampling: {units.shape[0]} anchors, {len(labels)} labels, {len(indices)} indices"
+        )
+    scores = units @ bank.features.T
+    slots = np.flatnonzero(bank.valid)
+    slot_labels = bank.labels[slots]
+    samples = []
+    for row, label, index in zip(scores, labels, indices):
+        instrumentation.bump("bank_reads")
+        others = slots != index
+        same = slot_labels == label
+        pos_pool = slots[same & others]
+        neg_pool = slots[~same & others]
+        if pos_pool.size == 0 or neg_pool.size == 0:
+            samples.append(None)
+            continue
+        # lowest similarity first; ties toward the lower slot index
+        pos_order = np.lexsort((pos_pool, row[pos_pool]))
+        neg_order = np.lexsort((neg_pool, -row[neg_pool]))
+        remaining = neg_pool[neg_order[cfg.n_neg_hard :]]
+        n_rand = min(cfg.n_neg_rand, remaining.size)
+        rand_neg = rng.choice(remaining, size=n_rand, replace=False) if n_rand else remaining[:0]
+        samples.append(ContrastSample(
+            positives=pos_pool[pos_order[: cfg.n_pos_hard]].astype(np.int64),
+            hard_negatives=neg_pool[neg_order[: cfg.n_neg_hard]].astype(np.int64),
+            random_negatives=np.asarray(rand_neg, dtype=np.int64),
+        ))
+    return scores, samples
+
+
 def sample_contrast(
     bank: MemoryBank,
     anchor_embedding: np.ndarray,
@@ -151,39 +214,8 @@ def sample_contrast(
     rng,
 ) -> ContrastSample | None:
     """Mine a contrastive sample from the bank, or None if either side is empty."""
-    instrumentation.bump("bank_reads")
     anchor = np.asarray(anchor_embedding, dtype=np.float64)
-    norm = np.linalg.norm(anchor)
-    if not np.isfinite(anchor).all() or norm < NORM_EPSILON:
-        raise NumericError("contrast sampling: anchor embedding is degenerate")
-    unit = anchor / norm
-
-    candidates = np.flatnonzero(bank.valid)
-    candidates = candidates[candidates != anchor_index]
-    if candidates.size == 0:
-        return None
-    labels = bank.labels[candidates]
-    pos_pool = candidates[labels == label]
-    neg_pool = candidates[labels != label]
-    if pos_pool.size == 0 or neg_pool.size == 0:
-        return None
-
-    pos_sims = bank.features[pos_pool] @ unit
-    # lowest similarity first; ties toward the lower slot index
-    pos_order = np.lexsort((pos_pool, pos_sims))
-    pos_indices = pos_pool[pos_order[: cfg.n_pos_hard]]
-
-    neg_sims = bank.features[neg_pool] @ unit
-    neg_order = np.lexsort((neg_pool, -neg_sims))
-    hard_neg = neg_pool[neg_order[: cfg.n_neg_hard]]
-    remaining = neg_pool[neg_order[cfg.n_neg_hard :]]
-    n_rand = min(cfg.n_neg_rand, remaining.size)
-    rand_neg = rng.choice(remaining, size=n_rand, replace=False) if n_rand else remaining[:0]
-    return ContrastSample(
-        positives=pos_indices.astype(np.int64),
-        hard_negatives=hard_neg.astype(np.int64),
-        random_negatives=np.asarray(rand_neg, dtype=np.int64),
-    )
+    return sample_batch(bank, anchor[None, :], [label], [anchor_index], cfg, rng)[1][0]
 
 
 def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
@@ -191,67 +223,102 @@ def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
     return tz.sum_all(tz.mul(tz.l2_normalize(u), tz.l2_normalize(v)))
 
 
-def _similarities(anchor: Tensor, rows: np.ndarray) -> Tensor:
-    """Cosine similarities between an anchor and unit bank rows; grads reach the anchor only."""
-    unit = tz.l2_normalize(anchor)
-    column = tz.reshape(unit, (anchor.shape[0], 1))
-    return tz.reshape(tz.matmul(Tensor(rows), column), (rows.shape[0],))
+def info_nce_batch(
+    anchors: Tensor, scores: np.ndarray, samples: list, bank: MemoryBank, cfg: ContrastConfig
+) -> tuple[Tensor, np.ndarray]:
+    """Contrastive losses of B anchors as one tape node.
+
+    `anchors` is (B, D); `scores` and `samples` are what `sample_batch`
+    returned for its rows.  Returns the (B,) per-anchor losses, 0 where
+    samples[b] is None, and the (B,) counts of literal-form positives
+    skipped.  The backward maps the score gradients dS to the anchors as
+    dS @ bank.features through the row-normalize Jacobian, so the slots a
+    sample names must not be rewritten before the backward pass.
+    """
+    count = anchors.shape[0]
+    if anchors.data.ndim != 2 or scores.shape != (count, bank.length) or len(samples) != count:
+        raise DimensionError(
+            f"info_nce: anchors {anchors.shape}, scores {scores.shape} and {len(samples)} samples "
+            f"do not fit a bank of {bank.length} slots"
+        )
+    units, norms = _unit_rows(anchors.data, "info_nce")
+    inv_tau = 1.0 / cfg.tau
+    losses = np.zeros(count)
+    skipped = np.zeros(count, dtype=np.int64)
+    d_scores = np.zeros(scores.shape)  # d losses[b] / d scores[b, :]
+    for b, sample in enumerate(samples):
+        if sample is None:
+            continue
+        if sample.positives.size == 0:
+            raise ConfigError("info_nce requires at least one positive (caller should skip)")
+        negatives = sample.negatives
+        pos = scores[b, sample.positives] * inv_tau
+        neg = scores[b, negatives] * inv_tau
+        if cfg.loss_form == "exponentiated":
+            shift = float(max(pos.max(), neg.max())) if neg.size else float(pos.max())
+            exp_pos = np.exp(pos - shift)
+            exp_neg = np.exp(neg - shift)
+            denom = exp_pos + exp_neg.sum()
+            losses[b] = np.sum(np.log(denom) + shift - pos)
+            d_pos = exp_pos / denom - 1.0
+            d_neg = exp_neg * np.sum(1.0 / denom)
+        else:
+            # literal ratio form: no exponentials, so guard against non-positive terms
+            denom = pos + neg.sum()
+            over = denom - LITERAL_CLAMP > 0
+            clamped = np.where(over, denom - LITERAL_CLAMP, 0.0) + LITERAL_CLAMP
+            keep = pos > 0.0
+            skipped[b] = pos.size - np.count_nonzero(keep)
+            if not keep.any():
+                continue
+            losses[b] = -np.sum(np.log(pos[keep]) - np.log(clamped[keep]))
+            d_clamped = np.where(keep & over, 1.0 / clamped, 0.0)
+            d_neg = np.full(neg.size, d_clamped.sum())
+            d_pos = d_clamped.copy()
+            d_pos[keep] -= 1.0 / pos[keep]
+        np.add.at(d_scores[b], sample.positives, d_pos * inv_tau)
+        np.add.at(d_scores[b], negatives, d_neg * inv_tau)
+    dtype = anchors.data.dtype
+
+    def backward(g: np.ndarray) -> None:
+        if anchors.requires_grad:
+            d_units = (d_scores * g[:, None]) @ bank.features
+            radial = np.sum(units * d_units, axis=1, keepdims=True)
+            anchors._accumulate(((d_units - units * radial) / norms[:, None]).astype(dtype))
+
+    return tz._make(losses.astype(dtype), (anchors,), backward, "info_nce_batch"), skipped
 
 
 def info_nce(
     anchor: Tensor, sample: ContrastSample, bank: MemoryBank, cfg: ContrastConfig
 ) -> tuple[Tensor, int]:
     """Contrastive loss for one anchor. Returns (loss, skipped_positive_terms)."""
-    if sample.positives.size == 0:
-        raise ConfigError("info_nce requires at least one positive (caller should skip)")
-    negatives = sample.negatives
-    pos_scaled = tz.scalar_mul(_similarities(anchor, bank.features[sample.positives]), 1.0 / cfg.tau)
-    has_negatives = negatives.size > 0
-
-    if cfg.loss_form == "exponentiated":
-        if has_negatives:
-            neg_scaled = tz.scalar_mul(_similarities(anchor, bank.features[negatives]), 1.0 / cfg.tau)
-            shift = float(max(pos_scaled.data.max(), neg_scaled.data.max()))
-            exp_neg = tz.sum_all(tz.exp(tz.add_scalar(neg_scaled, -shift)))
-            denom = tz.add_scalar(tz.exp(tz.add_scalar(pos_scaled, -shift)), exp_neg)
-        else:
-            shift = float(pos_scaled.data.max())
-            denom = tz.exp(tz.add_scalar(pos_scaled, -shift))
-        log_denom = tz.add_scalar(tz.log(denom), shift)
-        return tz.sum_all(tz.sub(log_denom, pos_scaled)), 0
-
-    # literal ratio form: no exponentials, so guard against non-positive terms
-    if has_negatives:
-        neg_scaled = tz.scalar_mul(_similarities(anchor, bank.features[negatives]), 1.0 / cfg.tau)
-        denom = tz.add_scalar(pos_scaled, tz.sum_all(neg_scaled))
-    else:
-        denom = pos_scaled
-    clamped = tz.add_scalar(tz.relu(tz.add_scalar(denom, -LITERAL_CLAMP)), LITERAL_CLAMP)
-    keep = [i for i, v in enumerate(pos_scaled.data) if v > 0.0]
-    skipped = pos_scaled.shape[0] - len(keep)
-    if not keep:
-        return Tensor(0.0), skipped
-    ratio_log = tz.sub(tz.log(tz.gather1d(pos_scaled, keep)), tz.log(tz.gather1d(clamped, keep)))
-    return tz.scalar_mul(tz.sum_all(ratio_log), -1.0), skipped
+    if anchor.data.ndim != 1:
+        raise DimensionError(f"info_nce: expects a vector anchor, got shape {anchor.shape}")
+    units, _ = _unit_rows(anchor.data[None, :], "info_nce")
+    stacked = tz.reshape(anchor, (1, anchor.size))
+    losses, skipped = info_nce_batch(stacked, units @ bank.features.T, [sample], bank, cfg)
+    return tz.reshape(losses, ()), int(skipped[0])
 
 
-def sample_and_loss(
-    bank: MemoryBank,
-    embedding: Tensor,
-    label: int,
-    index: int,
-    cfg: ContrastConfig,
+def contrast_losses(
+    bank: MemoryBank, embeddings: list, labels, indices, cfg: ContrastConfig
 ) -> tuple[Tensor | None, int]:
-    """Mine against the current bank state and build the loss; no bank write.
+    """Losses of a batch of anchors against the bank as it stands; no bank write.
 
-    Callers decide when to write the fresh embedding back (immediately
-    for single-instance steps, at batch end for batched steps so every
-    instance in the batch samples against the step-start state).
+    Stacks the B embeddings into one (B, D) tensor, mines every anchor
+    from one bank product and builds all B losses as one tape node.
+    Returns the (B,) losses, or None when no anchor has a term to
+    backpropagate, and the skip count: anchors without a sample plus
+    literal-form positives skipped.  Callers write the fresh embeddings
+    back after their backward pass.
     """
-    sample = sample_contrast(bank, embedding.data, label, index, cfg, bank.rng)
-    if sample is None:
-        return None, 0
-    return info_nce(embedding, sample, bank, cfg)
+    stacked = tz.reshape(tz.concat_flatten(embeddings), (len(embeddings), bank.dim))
+    scores, samples = sample_batch(bank, stacked.data, labels, indices, cfg, bank.rng)
+    losses, skipped = info_nce_batch(stacked, scores, samples, bank, cfg)
+    unmined = sum(sample is None for sample in samples)
+    live = any(s is not None and n < s.positives.size for s, n in zip(samples, skipped))
+    return (losses if live else None), unmined + int(skipped.sum())
 
 
 def contrast_step(
@@ -266,16 +333,16 @@ def contrast_step(
     Samples from each bank first (so the anchor never sees its own
     fresh write), computes both losses, then writes the new embeddings.
     An empty sample contributes a constant zero loss.  Returns
-    (spatial_loss, temporal_loss, skipped_positive_count).
+    (spatial_loss, temporal_loss, skipped_positive_count).  The write
+    touches only the anchor's own slot, which no sample of it contains,
+    so the losses stay valid for a later backward pass.
     """
     skipped = 0
     losses = {}
     embeddings = {"spatial": pair.spatial, "temporal": pair.temporal}
     for name, embedding in embeddings.items():
-        loss, n_skip = sample_and_loss(banks[name], embedding, label, index, cfg)
-        if loss is None:
-            loss, n_skip = Tensor(0.0), n_skip + 1
-        losses[name] = loss
+        loss, n_skip = contrast_losses(banks[name], [embedding], [label], [index], cfg)
+        losses[name] = Tensor(0.0) if loss is None else tz.reshape(loss, ())
         skipped += n_skip
     for name, embedding in embeddings.items():
         banks[name].update(index, embedding, label)

@@ -223,6 +223,46 @@ def _case_temporal_conv(rng):
     )
 
 
+def _case_info_nce_batch(rng):
+    """Both loss forms over three anchors; the third one's label is not in the bank.
+
+    Each labelled anchor has two bank rows near its own direction and one
+    near its opposite (a skipped positive in the literal form), and the
+    other rows lie near orthogonal directions, so every kept literal
+    denominator stays far from the clamp.
+    """
+    from .contrast import ContrastConfig, MemoryBank, info_nce_batch, sample_batch
+
+    dim = 5
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    axes = basis.T
+
+    def near(direction):
+        return direction + 0.3 * rng.standard_normal(dim)
+
+    rows = [near(axes[0]), near(axes[0]), near(-axes[0]),
+            near(axes[1]), near(axes[1]), near(-axes[1]),
+            near(axes[3]), near(axes[4]), near(axes[3] + axes[4])]
+    bank = MemoryBank(len(rows) + 3, dim, name="gradcheck", seed=0)
+    for slot, (row, label) in enumerate(zip(rows, [0, 0, 0, 1, 1, 1, 2, 2, 2])):
+        bank.update(slot, row, label)
+    anchors = np.stack([2.0 * axes[0], 1.5 * axes[1], axes[2]]) + 0.1 * rng.standard_normal((3, dim))
+    tau = float(rng.uniform(0.5, 1.0))
+    forms = [ContrastConfig(tau=tau, n_pos_hard=3, n_neg_hard=2, n_neg_rand=2, loss_form=form)
+             for form in ("exponentiated", "literal")]
+    _, samples = sample_batch(bank, anchors, [0, 1, 7], [9, 10, 11], forms[0], rng)
+    projections = [_projector(rng, (3,)) for _ in forms]
+
+    def fn(t):
+        data = t["anchors"].data
+        scores = (data / np.linalg.norm(data, axis=1, keepdims=True)) @ bank.features.T
+        terms = [project(info_nce_batch(t["anchors"], scores, samples, bank, cfg)[0])
+                 for cfg, project in zip(forms, projections)]
+        return tz.add(*terms)
+
+    return {"anchors": anchors}, fn
+
+
 OP_CASES = {
     "matmul": _case_matmul,
     "add": _case_add,
@@ -241,6 +281,7 @@ OP_CASES = {
     "softmax_cross_entropy": _case_softmax_cross_entropy,
     "l2_normalize": _case_l2_normalize,
     "temporal_conv": _case_temporal_conv,
+    "info_nce_batch": _case_info_nce_batch,
 }
 
 

@@ -28,11 +28,11 @@ import numpy as np
 
 from . import tensor as tz
 from .checkpoint import load_checkpoint, save_checkpoint
-from .contrast import ContrastConfig, MemoryBank, make_banks, sample_and_loss
+from .contrast import ContrastConfig, contrast_losses, make_banks
 from .data import SkeletonDataset
 from .decoupling import DecouplerParams, EmbeddingPair, decouple, init_decoupler
 from .encoder import EncoderConfig, classify, encode, init_params, test_forward
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataFormatError, NumericError
 from .metrics import per_class_accuracy, silhouette_score, top1_accuracy
 from .rng import seeded_rng
 from .tensor import Tensor
@@ -231,31 +231,33 @@ def train_step(
     step: int = 0,
 ) -> StepRecord:
     t0 = time.perf_counter()
-    ccfg = cfg.contrast_config()
     ce_terms: list = []
-    nce_terms = {"spatial": [], "temporal": []}
-    nce_values = {"spatial": 0.0, "temporal": 0.0}
-    skipped = 0
-    pending = []
-
+    embeddings = {"spatial": [], "temporal": []}
     for seq in batch:
         feature_map = encode(model.params, model.encoder_cfg, seq.coords)
         logits = classify(model.params, feature_map)
         ce_terms.append(tz.softmax_cross_entropy(logits, seq.label))
         if cfg.framework_enabled:
             pair = decouple(feature_map, model.decoupler)
-            for name, embedding in (("spatial", pair.spatial), ("temporal", pair.temporal)):
-                loss, n_skip = sample_and_loss(banks[name], embedding, seq.label, seq.index, ccfg)
-                skipped += n_skip
-                if loss is None:
-                    skipped += 1
-                else:
-                    nce_terms[name].append(loss)
-                    nce_values[name] += loss.item()
-                pending.append((banks[name], seq.index, embedding.data.copy(), seq.label))
+            embeddings["spatial"].append(pair.spatial)
+            embeddings["temporal"].append(pair.temporal)
 
     n = len(batch)
     ce_mean = tz.scalar_mul(_sum_of_scalars(ce_terms), 1.0 / n)
+    nce_means = {"spatial": None, "temporal": None}
+    nce_values = {"spatial": 0.0, "temporal": 0.0}
+    skipped = 0
+    if cfg.framework_enabled:
+        ccfg = cfg.contrast_config()
+        labels = [seq.label for seq in batch]
+        indices = [seq.index for seq in batch]
+        for name, anchors in embeddings.items():
+            losses, n_skip = contrast_losses(banks[name], anchors, labels, indices, ccfg)
+            skipped += n_skip
+            if losses is not None:
+                nce_means[name] = tz.scalar_mul(tz.sum_all(losses), 1.0 / n)
+                nce_values[name] = float(losses.data.sum())
+
     loss_ce = ce_mean.item()
     loss_spa = nce_values["spatial"] / n
     loss_tem = nce_values["temporal"] / n
@@ -266,23 +268,23 @@ def train_step(
             if not math.isfinite(value):
                 raise NumericError(f"non-finite {name} loss at epoch {epoch} step {step}")
 
-    def weighted(acc, terms, weight):
+    def weighted(acc, mean, weight):
         """Add a weighted mean term to the graph; zero weight stays out entirely."""
-        if weight == 0.0 or not terms:
+        if weight == 0.0 or mean is None:
             return acc
-        mean = tz.scalar_mul(_sum_of_scalars(terms), 1.0 / n)
         term = mean if weight == 1.0 else tz.scalar_mul(mean, weight)
         return term if acc is None else tz.add(acc, term)
 
-    graph = weighted(None, ce_terms, cfg.lambda_ce)
-    graph = weighted(graph, nce_terms["spatial"], cfg.lambda_spatial)
-    graph = weighted(graph, nce_terms["temporal"], cfg.lambda_temporal)
+    graph = weighted(None, ce_mean, cfg.lambda_ce)
+    graph = weighted(graph, nce_means["spatial"], cfg.lambda_spatial)
+    graph = weighted(graph, nce_means["temporal"], cfg.lambda_temporal)
     if graph is not None and graph.requires_grad:
         optimizer.zero_grad()
         graph.backward()
         optimizer.step(lr)
-    for bank, index, embedding, label in pending:
-        bank.update(index, embedding, label)
+    for name, anchors in embeddings.items():
+        for seq, embedding in zip(batch, anchors):
+            banks[name].update(seq.index, embedding, seq.label)
 
     return StepRecord(
         epoch=epoch,
@@ -379,25 +381,58 @@ def save_model(path: str, model: Model, meta: dict) -> None:
 
 
 def load_model(path: str) -> tuple[Model, dict]:
+    """Rebuild a model from a checkpoint, checked against the configs its meta describes.
+
+    The meta must name the encoder config and class count, plus the
+    decoupler's embed_dim and reduction when the checkpoint holds
+    ``decouple.*`` arrays.  The name table and every array shape must be
+    those the configs build; any mismatch raises DataFormatError.
+    """
     arrays, meta = load_checkpoint(path)
-    encoder_cfg = EncoderConfig(**{**meta["encoder"], "hidden": tuple(meta["encoder"]["hidden"])})
-    params = {
-        k: Tensor(v, requires_grad=True) for k, v in arrays.items() if not k.startswith("decouple.")
-    }
+    has_decoupler = any(k.startswith("decouple.") for k in arrays)
+    required = ["encoder", "num_classes"] + (["embed_dim", "reduction"] if has_decoupler else [])
+    missing = [key for key in required if not isinstance(meta, dict) or key not in meta]
+    if missing:
+        raise DataFormatError(f"{path}: checkpoint meta lacks {', '.join(missing)}")
+    try:
+        encoder_cfg = EncoderConfig(**{**meta["encoder"], "hidden": tuple(meta["encoder"]["hidden"])})
+        num_classes = int(meta["num_classes"])
+        expected = init_params(encoder_cfg, num_classes, seed=0)
+        if has_decoupler:
+            reduction, dim = int(meta["reduction"]), int(meta["embed_dim"])
+            skeleton = init_decoupler(
+                joints=encoder_cfg.joints, out_frames=encoder_cfg.out_frames,
+                channels=encoder_cfg.channels, reduction=reduction, dim=dim, seed=0,
+            )
+            expected.update({f"decouple.{k}": v for k, v in skeleton.named().items()})
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise DataFormatError(f"{path}: checkpoint meta does not describe a model: {exc}") from None
+    if sorted(arrays) != sorted(expected):
+        absent = sorted(set(expected) - set(arrays))
+        extra = sorted(set(arrays) - set(expected))
+        raise DataFormatError(
+            f"{path}: checkpoint arrays do not match its meta (missing {absent}, unexpected {extra})"
+        )
+    for name, tensor in expected.items():
+        if arrays[name].shape != tensor.shape:
+            raise DataFormatError(
+                f"{path}: array {name!r} has shape {arrays[name].shape}, its meta builds {tensor.shape}"
+            )
+    tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
     decoupler = None
-    if any(k.startswith("decouple.") for k in arrays):
+    if has_decoupler:
         decoupler = DecouplerParams(
-            spatial_reduce=Tensor(arrays["decouple.spatial_reduce"], requires_grad=True),
-            temporal_reduce=Tensor(arrays["decouple.temporal_reduce"], requires_grad=True),
-            spatial_embed=Tensor(arrays["decouple.spatial_embed"], requires_grad=True),
-            temporal_embed=Tensor(arrays["decouple.temporal_embed"], requires_grad=True),
-            reduction=int(meta["reduction"]),
-            dim=int(meta["embed_dim"]),
+            spatial_reduce=tensors["decouple.spatial_reduce"],
+            temporal_reduce=tensors["decouple.temporal_reduce"],
+            spatial_embed=tensors["decouple.spatial_embed"],
+            temporal_embed=tensors["decouple.temporal_embed"],
+            reduction=reduction,
+            dim=dim,
         )
     model = Model(
         encoder_cfg=encoder_cfg,
-        num_classes=int(meta["num_classes"]),
-        params=params,
+        num_classes=num_classes,
+        params={k: v for k, v in tensors.items() if not k.startswith("decouple.")},
         decoupler=decoupler,
     )
     return model, meta

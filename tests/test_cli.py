@@ -2,9 +2,11 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from stdcl import cli
+from stdcl.checkpoint import load_checkpoint, save_checkpoint
 from stdcl.config import read_manifest
 
 
@@ -161,16 +163,6 @@ class TestTrain:
         assert run_cli("train") == cli.EXIT_USAGE
         assert "-c/--config or --from-manifest" in capsys.readouterr().err
 
-    def test_invalid_threads_env_rejected(self, config_path, monkeypatch, capsys):
-        monkeypatch.setenv("STDCL_THREADS", "plenty")
-        assert run_cli("train", "-c", config_path) == cli.EXIT_USAGE
-        assert "STDCL_THREADS" in capsys.readouterr().err
-
-    def test_valid_threads_env_accepted(self, workdir, config_path, monkeypatch):
-        monkeypatch.setenv("STDCL_THREADS", "2")
-        out = workdir / "threads-ok"
-        assert run_cli("train", "-c", config_path, "--out", out, "--epochs", 0) == cli.EXIT_OK
-
 
 class TestEval:
     def test_accuracy_line_and_csv_report(self, trained_run, dataset_path, capsys):
@@ -214,6 +206,42 @@ class TestEval:
                        "--temporal-motifs", 2, "--per-class", 2, "-o", wide) == cli.EXIT_OK
         assert run_cli("eval", trained_run / "model.ckpt", "-d", wide) == cli.EXIT_DATA
         assert "classes" in capsys.readouterr().err
+
+    @staticmethod
+    def edited_checkpoint(workdir, trained_run, name, edit):
+        """The trained checkpoint rewritten with `edit(arrays, meta)` applied."""
+        arrays, meta = load_checkpoint(str(trained_run / "model.ckpt"))
+        edit(arrays, meta)
+        path = workdir / f"{name}.ckpt"
+        save_checkpoint(str(path), arrays, meta)
+        return path
+
+    def test_checkpoint_without_decoupler_array_is_data_error(
+        self, workdir, trained_run, dataset_path, capsys
+    ):
+        path = self.edited_checkpoint(workdir, trained_run, "no-spatial-embed",
+                                      lambda arrays, meta: arrays.pop("decouple.spatial_embed"))
+        assert run_cli("eval", path, "-d", dataset_path) == cli.EXIT_DATA
+        assert "decouple.spatial_embed" in capsys.readouterr().err
+
+    def test_checkpoint_without_encoder_meta_is_data_error(
+        self, workdir, trained_run, dataset_path, capsys
+    ):
+        path = self.edited_checkpoint(workdir, trained_run, "no-encoder-meta",
+                                      lambda arrays, meta: meta.pop("encoder"))
+        assert run_cli("eval", path, "-d", dataset_path) == cli.EXIT_DATA
+        assert "lacks encoder" in capsys.readouterr().err
+
+    def test_checkpoint_with_wrong_head_shape_is_data_error(
+        self, workdir, trained_run, dataset_path, capsys
+    ):
+        def widen_head(arrays, meta):
+            rows, cols = arrays["head.w"].shape
+            arrays["head.w"] = np.zeros((rows + 1, cols))
+
+        path = self.edited_checkpoint(workdir, trained_run, "wide-head", widen_head)
+        assert run_cli("eval", path, "-d", dataset_path) == cli.EXIT_DATA
+        assert "'head.w' has shape" in capsys.readouterr().err
 
 
 class TestGradcheck:

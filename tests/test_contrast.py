@@ -6,6 +6,7 @@ the losses are checked against closed forms that fall out of the
 definition.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -14,16 +15,19 @@ import pytest
 from stdcl import instrumentation
 from stdcl import tensor as tz
 from stdcl.contrast import (
+    LITERAL_CLAMP,
     ContrastConfig,
     ContrastSample,
     MemoryBank,
+    contrast_losses,
     contrast_step,
     cosine_similarity,
     export_bank_tsv,
     info_nce,
+    info_nce_batch,
     load_bank_tsv,
     make_banks,
-    sample_and_loss,
+    sample_batch,
     sample_contrast,
 )
 from stdcl.decoupling import EmbeddingPair
@@ -431,11 +435,133 @@ class TestStep:
         bank.update(1, [1.0, 0, 0], 0)
         bank.update(2, [0, 1.0, 0], 1)
         before = bank.features.copy()
-        loss, skipped = sample_and_loss(bank, Tensor(np.array([1.0, 1.0, 0.0])), 0, 0,
+        loss, skipped = contrast_losses(bank, [Tensor(np.array([1.0, 1.0, 0.0]))], [0], [0],
                                         ContrastConfig())
         assert loss is not None
         np.testing.assert_array_equal(bank.features, before)
         assert not bank.valid[0]
+
+
+def reference_mine(bank, anchor, label, anchor_index, cfg, rng):
+    """One anchor by brute force: sort on (similarity, slot), then draw from a copied stream."""
+    u = unit(anchor)
+    sims = {i: float(bank.features[i] @ u) for i in range(bank.length)
+            if bank.valid[i] and i != anchor_index}
+    pos = sorted((i for i in sims if bank.labels[i] == label), key=lambda i: (sims[i], i))
+    neg = sorted((i for i in sims if bank.labels[i] != label), key=lambda i: (-sims[i], i))
+    if not pos or not neg:
+        return None
+    remaining = np.array(neg[cfg.n_neg_hard:], dtype=np.int64)
+    n_rand = min(cfg.n_neg_rand, remaining.size)
+    rand = rng.choice(remaining, size=n_rand, replace=False).tolist() if n_rand else []
+    return pos[: cfg.n_pos_hard], neg[: cfg.n_neg_hard], rand
+
+
+def reference_loss(bank, anchor, mined, cfg):
+    """(loss, skipped) of one anchor: log-sum-exp per positive, or the clamped ratio."""
+    positives, hard, rand = mined
+    u = unit(anchor)
+    pos = [float(bank.features[i] @ u) / cfg.tau for i in positives]
+    neg = [float(bank.features[i] @ u) / cfg.tau for i in hard + rand]
+    if cfg.loss_form == "exponentiated":
+        loss = 0.0
+        for p in pos:
+            terms = np.array([p] + neg)
+            top = terms.max()
+            loss += top + math.log(np.exp(terms - top).sum()) - p
+        return loss, 0
+    kept = [p for p in pos if p > 0.0]
+    loss = -sum(math.log(p / max(p + sum(neg), LITERAL_CLAMP)) for p in kept)
+    return loss, len(pos) - len(kept)
+
+
+class TestBatchedPath:
+    """One bank product and one loss node for a batch, against per-anchor references."""
+
+    def batch(self):
+        rng = np.random.default_rng(12)
+        bank = MemoryBank(30, 6, name="b", seed=5)
+        for i in range(28):
+            bank.update(i, rng.standard_normal(6), i % 3)
+        bank.update(29, rng.standard_normal(6), 4)  # the only slot labelled 4
+        anchors = rng.standard_normal((5, 6))
+        labels = [0, 3, 1, 4, 2]  # label 3 has no slot; label 4 only the anchor's own
+        indices = [0, 28, 7, 29, 11]
+        return bank, anchors, labels, indices
+
+    @pytest.mark.parametrize("form", ["exponentiated", "literal"])
+    def test_matches_per_anchor_reference(self, form):
+        bank, anchors, labels, indices = self.batch()
+        cfg = ContrastConfig(tau=0.7, n_pos_hard=4, n_neg_hard=3, n_neg_rand=4, loss_form=form)
+        ref_rng = copy.deepcopy(bank.rng)
+        want = [reference_mine(bank, a, y, i, cfg, ref_rng)
+                for a, y, i in zip(anchors, labels, indices)]
+        assert [w is None for w in want] == [False, True, False, True, False]
+
+        stacked = Tensor(anchors, requires_grad=True)
+        scores, samples = sample_batch(bank, anchors, labels, indices, cfg, bank.rng)
+        losses, skipped = info_nce_batch(stacked, scores, samples, bank, cfg)
+        tz.sum_all(losses).backward()
+
+        assert bank.rng.bit_generator.state == ref_rng.bit_generator.state
+        for b, (sample, mined) in enumerate(zip(samples, want)):
+            if mined is None:
+                assert sample is None
+                assert losses.data[b] == 0.0 and skipped[b] == 0
+                assert not stacked.grad[b].any()
+                continue
+            assert (sample.positives.tolist(), sample.hard_negatives.tolist(),
+                    sample.random_negatives.tolist()) == mined
+            loss, n_skip = reference_loss(bank, anchors[b], mined, cfg)
+            assert abs(losses.data[b] - loss) <= 1e-12 * max(1.0, abs(loss))
+            assert skipped[b] == n_skip
+
+            h = 1e-6
+            grad = np.zeros(6)
+            for d in range(6):
+                step = np.zeros(6)
+                step[d] = h
+                up = reference_loss(bank, anchors[b] + step, mined, cfg)[0]
+                down = reference_loss(bank, anchors[b] - step, mined, cfg)[0]
+                grad[d] = (up - down) / (2 * h)
+            np.testing.assert_allclose(stacked.grad[b], grad, rtol=1e-6, atol=1e-8)
+        if form == "literal":
+            assert skipped.sum() > 0  # the clamp-and-skip branch was exercised
+
+    def test_step_counts_unmined_anchors_as_skipped(self):
+        bank, anchors, labels, indices = self.batch()
+        cfg = ContrastConfig(n_pos_hard=4, n_neg_hard=3, n_neg_rand=4)
+        embeddings = [Tensor(a, requires_grad=True) for a in anchors]
+        losses, skipped = contrast_losses(bank, embeddings, labels, indices, cfg)
+        assert losses.shape == (5,)
+        assert skipped == 2
+
+    def test_cold_bank_mines_nothing_and_draws_nothing(self):
+        bank = MemoryBank(8, 4, name="b", seed=0)
+        state = copy.deepcopy(bank.rng.bit_generator.state)
+        anchors = [Tensor(np.eye(4)[i], requires_grad=True) for i in range(4)]
+        losses, skipped = contrast_losses(bank, anchors, [0, 1, 0, 1], [0, 1, 2, 3], ContrastConfig())
+        assert losses is None and skipped == 4
+        assert bank.rng.bit_generator.state == state
+
+    def test_float32_keeps_anchor_dtype(self):
+        bank, anchors, labels, indices = self.batch()
+        cfg = ContrastConfig(n_pos_hard=4, n_neg_hard=3, n_neg_rand=4)
+        with tz.using_precision("float32"):
+            stacked = Tensor(anchors, requires_grad=True)
+            scores, samples = sample_batch(bank, stacked.data, labels, indices, cfg, bank.rng)
+            losses, _ = info_nce_batch(stacked, scores, samples, bank, cfg)
+            tz.sum_all(losses).backward()
+        assert losses.data.dtype == np.float32
+        assert stacked.grad.dtype == np.float32
+
+    def test_degenerate_anchor_raises(self):
+        bank, anchors, labels, indices = self.batch()
+        anchors[2] = 0.0
+        stacked = Tensor(anchors, requires_grad=True)
+        scores = np.zeros((5, bank.length))
+        with pytest.raises(NumericError, match="degenerate"):
+            info_nce_batch(stacked, scores, [None] * 5, bank, ContrastConfig())
 
 
 class TestBankIO:
