@@ -8,7 +8,7 @@ dataset generator built to probe the decoupling claim (`data`), and a
 CLI (`cli`).
 """
 
-from .contrast import ContrastConfig, ContrastSample, MemoryBank, cosine_similarity, info_nce, sample_contrast
+from .contrast import ContrastConfig, ContrastSample, MemoryBank, info_nce, sample_contrast
 from .data import SkeletonDataset, SkeletonSequence, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .decoupling import DecouplerParams, EmbeddingPair, decouple, init_decoupler
 from .encoder import EncoderConfig, classify, encode, init_params, test_forward
@@ -51,7 +51,6 @@ __all__ = [
     "Tensor",
     "TrainConfig",
     "classify",
-    "cosine_similarity",
     "decouple",
     "encode",
     "evaluate",

@@ -78,7 +78,10 @@ def load_checkpoint(path: str) -> tuple[dict, dict]:
         (name_len,), offset = take("<H", offset)
         if offset + name_len > len(blob):
             raise DataFormatError(f"{path}: truncated checkpoint")
-        name = blob[offset : offset + name_len].decode("utf-8")
+        try:
+            name = blob[offset : offset + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: array name is not UTF-8: {exc}") from None
         offset += name_len
         (ndim,), offset = take("<B", offset)
         dims, offset = take(f"<{ndim}I", offset)

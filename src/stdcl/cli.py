@@ -14,6 +14,7 @@ import sys
 
 from . import tensor as tz
 from .config import (
+    CONFIG_SCHEMA,
     RunManifest,
     apply_overrides,
     load_config,
@@ -46,47 +47,17 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def encoder_from_config(cfg: dict, joints: int, frames: int) -> EncoderConfig:
-    return EncoderConfig(
-        joints=joints,
-        frames=frames,
-        channels=cfg["encoder.channels"],
-        temporal_stride=cfg["encoder.temporal_stride"],
-        hidden=tuple(cfg["encoder.hidden"]),
-        kernel_size=cfg["encoder.kernel_size"],
-        joint_mixing=cfg["encoder.joint_mixing"],
-        temporal_padding=cfg["encoder.temporal_padding"],
-    )
-
-
-def train_from_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg["train.epochs"],
-        batch_size=cfg["train.batch_size"],
-        learning_rate=cfg["train.learning_rate"],
-        momentum=cfg["train.momentum"],
-        weight_decay=cfg["train.weight_decay"],
-        seed=cfg["train.seed"],
-        tau=cfg["contrast.tau"],
-        lambda_ce=cfg["train.lambda_ce"],
-        lambda_spatial=cfg["train.lambda_spatial"],
-        lambda_temporal=cfg["train.lambda_temporal"],
-        framework_enabled=cfg["train.framework_enabled"],
-        loss_form=cfg["train.loss_form"],
-        lr_decay_epochs=cfg["train.lr_decay_epochs"],
-        lr_decay_gamma=cfg["train.lr_decay_gamma"],
-        n_pos_hard=cfg["contrast.n_pos_hard"],
-        n_neg_hard=cfg["contrast.n_neg_hard"],
-        n_neg_rand=cfg["contrast.n_neg_rand"],
-        embed_dim=cfg["train.embed_dim"],
-        reduction=cfg["train.reduction"],
-        checkpoint_every=cfg["train.checkpoint_every"],
-        eval_every=cfg["train.eval_every"],
-    )
+def _from_sections(cls, cfg: dict, sections: tuple, **extra):
+    """Build dataclass `cls` from the CONFIG_SCHEMA keys of `sections`; key suffixes are its fields."""
+    fields = {key.partition(".")[2]: cfg[key] for key in CONFIG_SCHEMA if key.partition(".")[0] in sections}
+    return cls(**fields, **extra)
 
 
 def _apply_numeric(cfg: dict) -> None:
-    tz.set_precision(cfg["numeric.precision"])
+    try:
+        tz.set_precision(cfg["numeric.precision"])
+    except ValueError as exc:
+        raise ConfigError(f"numeric.precision: {exc}") from None
     tz.set_checked(cfg["numeric.checked"])
 
 
@@ -164,8 +135,9 @@ def cmd_train(args) -> int:
     eval_dataset = None
     if cfg["data.eval_path"]:
         eval_dataset = _load_dataset_checked(cfg["data.eval_path"], cfg["data.frames"])
-    encoder_cfg = encoder_from_config(cfg, dataset.joints, dataset.frames)
-    train_cfg = train_from_config(cfg)
+    encoder_cfg = _from_sections(EncoderConfig, cfg, ("encoder",),
+                                 joints=dataset.joints, frames=dataset.frames)
+    train_cfg = _from_sections(TrainConfig, cfg, ("train", "contrast"))
     out_dir = cfg["out.dir"]
     stem = cfg["out.stem"]
     result = fit(dataset, encoder_cfg, train_cfg, out_dir=out_dir,

@@ -79,6 +79,20 @@ CONFIG_SCHEMA: dict = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the JSON value a train manifest must hold for each CONFIG_SCHEMA converter
+_MANIFEST_TYPES = {
+    _parse_int_tuple: ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    _parse_bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", _is_int),
+    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
 def default_config() -> dict:
     return {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
 
@@ -181,8 +195,10 @@ def read_manifest(path: str) -> RunManifest:
             payload = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read manifest {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: not a valid manifest: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: manifest must be a JSON object, got {type(payload).__name__}")
     if payload.get("format_version") != MANIFEST_VERSION:
         raise ConfigError(
             f"{path}: manifest format version {payload.get('format_version')!r} "
@@ -190,6 +206,10 @@ def read_manifest(path: str) -> RunManifest:
         )
     command = payload.get("command", "")
     raw = payload.get("config", {})
+    seed = payload.get("seed", 0)
+    artifacts = payload.get("artifacts", {})
+    if not isinstance(raw, dict) or not isinstance(artifacts, dict) or not _is_int(seed):
+        raise ConfigError(f"{path}: manifest needs an object config and artifacts and an integer seed")
     if command == "train":
         # train manifests must round-trip through the config schema so a
         # `--from-manifest` replay starts from the exact same settings
@@ -197,6 +217,9 @@ def read_manifest(path: str) -> RunManifest:
         for key, value in raw.items():
             if key not in CONFIG_SCHEMA:
                 raise ConfigError(f"{path}: manifest has unknown config key {key!r}")
+            expected, matches = _MANIFEST_TYPES[CONFIG_SCHEMA[key][0]]
+            if not matches(value):
+                raise ConfigError(f"{path}: manifest value for {key} must be {expected}, got {value!r}")
             config[key] = tuple(value) if isinstance(value, list) else value
     else:
         # other commands (gen-data) record their own flag vocabulary
@@ -204,7 +227,7 @@ def read_manifest(path: str) -> RunManifest:
     return RunManifest(
         command=command,
         config=config,
-        seed=int(payload.get("seed", 0)),
-        artifacts=dict(payload.get("artifacts", {})),
+        seed=seed,
+        artifacts=dict(artifacts),
     )
 

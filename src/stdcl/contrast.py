@@ -218,11 +218,6 @@ def sample_contrast(
     return sample_batch(bank, anchor[None, :], [label], [anchor_index], cfg, rng)[1][0]
 
 
-def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
-    """u.v / (|u||v|) for 1-D tensors; differentiable through both arguments."""
-    return tz.sum_all(tz.mul(tz.l2_normalize(u), tz.l2_normalize(v)))
-
-
 def info_nce_batch(
     anchors: Tensor, scores: np.ndarray, samples: list, bank: MemoryBank, cfg: ContrastConfig
 ) -> tuple[Tensor, np.ndarray]:
@@ -321,67 +316,9 @@ def contrast_losses(
     return (losses if live else None), unmined + int(skipped.sum())
 
 
-def contrast_step(
-    pair,
-    banks: dict,
-    label: int,
-    index: int,
-    cfg: ContrastConfig,
-) -> tuple[Tensor, Tensor, int]:
-    """Single-instance contrastive step against both banks.
-
-    Samples from each bank first (so the anchor never sees its own
-    fresh write), computes both losses, then writes the new embeddings.
-    An empty sample contributes a constant zero loss.  Returns
-    (spatial_loss, temporal_loss, skipped_positive_count).  The write
-    touches only the anchor's own slot, which no sample of it contains,
-    so the losses stay valid for a later backward pass.
-    """
-    skipped = 0
-    losses = {}
-    embeddings = {"spatial": pair.spatial, "temporal": pair.temporal}
-    for name, embedding in embeddings.items():
-        loss, n_skip = contrast_losses(banks[name], [embedding], [label], [index], cfg)
-        losses[name] = Tensor(0.0) if loss is None else tz.reshape(loss, ())
-        skipped += n_skip
-    for name, embedding in embeddings.items():
-        banks[name].update(index, embedding, label)
-    return losses["spatial"], losses["temporal"], skipped
-
-
 def make_banks(length: int, dim: int, seed: int) -> dict[str, MemoryBank]:
     return {
         "spatial": MemoryBank(length, dim, "spatial", seed),
         "temporal": MemoryBank(length, dim, "temporal", seed),
     }
 
-
-def export_bank_tsv(bank: MemoryBank, path: str) -> None:
-    """One row per slot: index, label, valid flag, then the feature vector."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("index\tlabel\tvalid\t" + "\t".join(f"f{i}" for i in range(bank.dim)) + "\n")
-        for i in range(bank.length):
-            feats = "\t".join(f"{v:.8g}" for v in bank.features[i])
-            f.write(f"{i}\t{bank.labels[i]}\t{int(bank.valid[i])}\t{feats}\n")
-
-
-def load_bank_tsv(path: str, name: str = "loaded", seed: int = 0) -> MemoryBank:
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split("\t")
-        if header[:3] != ["index", "label", "valid"]:
-            raise BankIntegrityError(f"{path}: unexpected bank header {header[:3]}")
-        dim = len(header) - 3
-        rows = [line.rstrip("\n").split("\t") for line in f if line.strip()]
-    if not rows or dim < 1:
-        raise BankIntegrityError(f"{path}: empty bank export")
-    bank = MemoryBank(length=len(rows), dim=dim, name=name, seed=seed)
-    for row in rows:
-        i = int(row[0])
-        if not 0 <= i < bank.length:
-            raise BankIntegrityError(f"{path}: slot {i} outside [0, {bank.length})")
-        if int(row[2]):
-            bank.features[i] = [float(v) for v in row[3:]]
-            bank.labels[i] = int(row[1])
-            bank.valid[i] = True
-    bank.check_integrity()
-    return bank

@@ -267,21 +267,27 @@ def save_jsonl(ds: SkeletonDataset, path: str) -> None:
 
 def _load_jsonl(path: str) -> SkeletonDataset:
     sequences = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            where = f"{path}:{lineno}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"{where}: not UTF-8 text: {exc}") from None
             if not line:
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                raise DataFormatError(f"{where}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise DataFormatError(f"{where}: record must be a JSON object, got {type(record).__name__}")
             try:
                 joints, frames = int(record["joints"]), int(record["frames"])
                 coords = np.array(record["coords"], dtype=np.float64)
                 if coords.size != joints * frames * 3:
                     raise DataFormatError(
-                        f"{path}:{lineno}: expected {joints * frames * 3} coordinates, got {coords.size}"
+                        f"{where}: expected {joints * frames * 3} coordinates, got {coords.size}"
                     )
                 sequences.append(
                     SkeletonSequence(
@@ -291,7 +297,9 @@ def _load_jsonl(path: str) -> SkeletonDataset:
                     )
                 )
             except KeyError as exc:
-                raise DataFormatError(f"{path}:{lineno}: missing field {exc}") from exc
+                raise DataFormatError(f"{where}: missing field {exc}") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DataFormatError(f"{where}: malformed record: {exc}") from None
     if not sequences:
         raise DataFormatError(f"{path}: no records")
     num_classes = max(seq.label for seq in sequences) + 1

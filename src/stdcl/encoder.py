@@ -155,9 +155,9 @@ def test_forward(params: dict[str, Tensor], cfg: EncoderConfig, coords: np.ndarr
     """Inference-path prediction: encoder + classifier head only.
 
     Deliberately touches neither the decoupling branches nor the memory
-    banks; runs on detached constants so no tape is built.  Ties in the
+    banks; runs under ``tz.no_grad()`` so no tape is built.  Ties in the
     logits resolve to the lowest class index.
     """
-    frozen = {k: Tensor(t.data) for k, t in params.items()}
-    logits = classify(frozen, encode(frozen, cfg, coords))
+    with tz.no_grad():
+        logits = classify(params, encode(params, cfg, coords))
     return int(np.argmax(logits.data))

@@ -88,26 +88,32 @@ def stratified_split(ds: SkeletonDataset, eval_per_class: int) -> tuple[Skeleton
 
 
 # ---------------------------------------------------------------------------
-# decoupling study
+# study configs
 
 
-@dataclass(frozen=True)
-class DecouplingStudyConfig:
-    # data: 2 spatial x 2 temporal motifs, mild noise
+@dataclass(frozen=True, kw_only=True)
+class StudyConfig:
+    """Fields and builders shared by both studies.
+
+    Each study subclass sets the four fields that have no default here:
+    ``per_class``, ``noise_std``, ``hidden`` and ``epochs``.
+    """
+
+    # data: 2 spatial x 2 temporal motifs
     joints: int = 8
     frames: int = 24
     num_spatial: int = 2
     num_temporal: int = 2
-    per_class: int = 50
-    noise_std: float = 0.05
-    # encoder: linear trunk with exact pooled views (see module docstring)
+    per_class: int
+    noise_std: float
+    # encoder
     channels: int = 32
     kernel_size: int = 5
-    hidden: tuple[int, ...] = ()
+    hidden: tuple[int, ...]
     joint_mixing: str = "fixed"
     temporal_padding: str = "circular"
     # optimization
-    epochs: int = 50
+    epochs: int
     batch_size: int = 8
     learning_rate: float = 0.01
     tau: float = 0.8
@@ -157,6 +163,31 @@ class DecouplingStudyConfig:
         )
 
 
+@dataclass(frozen=True, kw_only=True)
+class DecouplingStudyConfig(StudyConfig):
+    # mild noise; a linear trunk with exact pooled views (see module docstring)
+    per_class: int = 50
+    noise_std: float = 0.05
+    hidden: tuple[int, ...] = ()
+    epochs: int = 50
+
+
+@dataclass(frozen=True, kw_only=True)
+class ImprovementStudyConfig(StudyConfig):
+    # noise raised until the baseline is confusable (held-out top-1 well below
+    # ceiling), a holdout split, and a hidden relu block so pooled features
+    # can carry class signal
+    per_class: int = 80
+    eval_per_class: int = 30
+    noise_std: float = 1.35
+    hidden: tuple[int, ...] = (16,)
+    epochs: int = 40
+
+
+# ---------------------------------------------------------------------------
+# decoupling study
+
+
 @dataclass(frozen=True)
 class DecouplingSeedResult:
     seed: int
@@ -183,20 +214,6 @@ class DecouplingStudyResult:
     @property
     def passes(self) -> int:
         return sum(r.decoupled for r in self.per_seed)
-
-    def summary_lines(self) -> list[str]:
-        lines = [
-            f"decoupling study: tau={self.config.tau} "
-            f"({self.passes}/{len(self.per_seed)} seeds decoupled)"
-        ]
-        for r in self.per_seed:
-            lines.append(
-                f"  seed {r.seed}: spatial head {r.spatial_by_spatial:+.3f} (own) vs "
-                f"{r.spatial_by_temporal:+.3f} (other), temporal head "
-                f"{r.temporal_by_temporal:+.3f} (own) vs {r.temporal_by_spatial:+.3f} (other)"
-                f" -> {'decoupled' if r.decoupled else 'entangled'}"
-            )
-        return lines
 
 
 def run_decoupling_seed(cfg: DecouplingStudyConfig, seed: int) -> DecouplingSeedResult:
@@ -228,74 +245,6 @@ def run_decoupling_study(cfg: DecouplingStudyConfig | None = None) -> Decoupling
 
 
 @dataclass(frozen=True)
-class ImprovementStudyConfig:
-    # data: same factor structure, but noise raised until the baseline is
-    # confusable (held-out top-1 well below ceiling), plus a holdout split
-    joints: int = 8
-    frames: int = 24
-    num_spatial: int = 2
-    num_temporal: int = 2
-    per_class: int = 80
-    eval_per_class: int = 30
-    noise_std: float = 1.35
-    # encoder: hidden relu block so pooled features can carry class signal
-    channels: int = 32
-    kernel_size: int = 5
-    hidden: tuple[int, ...] = (16,)
-    joint_mixing: str = "fixed"
-    temporal_padding: str = "circular"
-    # optimization
-    epochs: int = 40
-    batch_size: int = 8
-    learning_rate: float = 0.01
-    tau: float = 0.8
-    embed_dim: int = 32
-    reduction: int = 4
-    n_pos_hard: int = 2
-    n_neg_hard: int = 8
-    n_neg_rand: int = 8
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-
-    def synthetic_spec(self) -> SyntheticSpec:
-        return SyntheticSpec(
-            joints=self.joints,
-            frames=self.frames,
-            num_spatial=self.num_spatial,
-            num_temporal=self.num_temporal,
-            per_class=self.per_class,
-            noise_std=self.noise_std,
-        )
-
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            joints=self.joints,
-            frames=self.frames,
-            channels=self.channels,
-            temporal_stride=1,
-            hidden=self.hidden,
-            kernel_size=self.kernel_size,
-            joint_mixing=self.joint_mixing,
-            temporal_padding=self.temporal_padding,
-        )
-
-    def train_config(self, seed: int, framework_enabled: bool) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            seed=seed,
-            tau=self.tau,
-            framework_enabled=framework_enabled,
-            n_pos_hard=self.n_pos_hard,
-            n_neg_hard=self.n_neg_hard,
-            n_neg_rand=self.n_neg_rand,
-            embed_dim=self.embed_dim,
-            reduction=self.reduction,
-            eval_every=0,
-        )
-
-
-@dataclass(frozen=True)
 class ImprovementSeedResult:
     seed: int
     baseline_accuracy: float
@@ -322,19 +271,6 @@ class ImprovementStudyResult:
     @property
     def mean_difference(self) -> float:
         return self.mean_framework - self.mean_baseline
-
-    def summary_lines(self) -> list[str]:
-        lines = [
-            f"improvement study: noise_std={self.config.noise_std}, "
-            f"mean top-1 baseline {self.mean_baseline:.4f} vs framework "
-            f"{self.mean_framework:.4f} (difference {self.mean_difference:+.4f})"
-        ]
-        for r in self.per_seed:
-            lines.append(
-                f"  seed {r.seed}: baseline {r.baseline_accuracy:.4f}, "
-                f"framework {r.framework_accuracy:.4f}, difference {r.difference:+.4f}"
-            )
-        return lines
 
 
 def run_improvement_seed(cfg: ImprovementStudyConfig, seed: int) -> ImprovementSeedResult:

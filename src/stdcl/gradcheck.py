@@ -365,14 +365,8 @@ def _build_pipeline_case(seed: int):
 
     def rebuild(tensors: dict[str, Tensor]):
         enc_params = {k: v for k, v in tensors.items() if not k.startswith("decouple.")}
-        dec = DecouplerParams(
-            spatial_reduce=tensors["decouple.spatial_reduce"],
-            temporal_reduce=tensors["decouple.temporal_reduce"],
-            spatial_embed=tensors["decouple.spatial_embed"],
-            temporal_embed=tensors["decouple.temporal_embed"],
-            reduction=2,
-            dim=5,
-        )
+        named = {name: tensors[f"decouple.{name}"] for name in decoupler.named()}
+        dec = DecouplerParams(**named, reduction=2, dim=5)
         return enc_params, dec
 
     def embeddings(tensors: dict[str, Tensor]):

@@ -22,6 +22,7 @@ _DTYPES = {"float64": np.float64, "float32": np.float32}
 
 _precision = "float64"
 _checked = True
+_grad_enabled = True
 
 # Test hook: name of an op whose backward rule gets its sign flipped, used to
 # prove the gradient checker actually catches broken rules.
@@ -79,6 +80,18 @@ def using_checked(flag: bool):
 
 
 @contextmanager
+def no_grad():
+    """Run ops inside the block without recording a tape (the test-time path)."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+@contextmanager
 def inject_backward_fault(op: str):
     """Flip the sign of `op`'s backward rule inside the block (test hook)."""
     global _fault_op
@@ -129,9 +142,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.item())
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -206,7 +216,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> 
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -217,10 +227,6 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> 
         out._backward_fn = None
         out._op = None
     return out
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 # ---------------------------------------------------------------------------
@@ -514,54 +520,33 @@ def temporal_conv(
     joints, frames, _ = x.shape
     pad = k // 2
     t_out = -(-frames // stride)
-
-    if padding == "circular":
-        out_data = np.broadcast_to(bias.data, (joints, t_out, c_out)).copy()
-        base = np.arange(t_out) * stride - pad
-        sources = [(base + d) % frames for d in range(k)]
-        for d in range(k):
-            out_data += np.einsum("jtc,cd->jtd", x.data[:, sources[d], :], w.data[d])
-
-        def backward_circular(g: np.ndarray) -> None:
-            if bias.requires_grad:
-                bias._accumulate(g.sum(axis=(0, 1)))
-            dx = np.zeros_like(x.data) if x.requires_grad else None
-            for d in range(k):
-                if w.requires_grad:
-                    if w.grad is None:
-                        w.grad = np.zeros_like(w.data)
-                    w.grad[d] += np.einsum("jtc,jtd->cd", x.data[:, sources[d], :], g)
-                if dx is not None:
-                    np.add.at(dx, (slice(None), sources[d], slice(None)),
-                              np.einsum("jtd,cd->jtc", g, w.data[d]))
-            if dx is not None:
-                x._accumulate(dx)
-
-        return _make(out_data, (x, w, bias), backward_circular, "temporal_conv")
-
-    xpad = np.zeros((joints, frames + 2 * pad, c_in), dtype=x.data.dtype)
-    xpad[:, pad : pad + frames, :] = x.data
+    # one frame indexer per tap into `src`: a strided slice of the zero-padded
+    # input, or wrapped frame indices into the input itself.  No frame repeats
+    # within a tap, so the backward can scatter with a plain `+=`.
+    if padding == "zero":
+        src = np.zeros((joints, frames + 2 * pad, c_in), dtype=x.data.dtype)
+        src[:, pad : pad + frames, :] = x.data
+        taps = [slice(d, d + stride * (t_out - 1) + 1, stride) for d in range(k)]
+    else:
+        src = x.data
+        taps = [(np.arange(t_out) * stride + d - pad) % frames for d in range(k)]
 
     out_data = np.broadcast_to(bias.data, (joints, t_out, c_out)).copy()
-    stop = stride * (t_out - 1) + 1
-    for d in range(k):
-        seg = xpad[:, d : d + stop : stride, :]
-        out_data += np.einsum("jtc,cd->jtd", seg, w.data[d])
+    for d, idx in enumerate(taps):
+        out_data += np.einsum("jtc,cd->jtd", src[:, idx, :], w.data[d])
 
     def backward(g: np.ndarray) -> None:
         if bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 1)))
-        if w.requires_grad or x.requires_grad:
-            dxpad = np.zeros_like(xpad) if x.requires_grad else None
-            for d in range(k):
-                seg = xpad[:, d : d + stop : stride, :]
-                if w.requires_grad:
-                    if w.grad is None:
-                        w.grad = np.zeros_like(w.data)
-                    w.grad[d] += np.einsum("jtc,jtd->cd", seg, g)
-                if dxpad is not None:
-                    dxpad[:, d : d + stop : stride, :] += np.einsum("jtd,cd->jtc", g, w.data[d])
-            if dxpad is not None:
-                x._accumulate(dxpad[:, pad : pad + frames, :])
+        if w.requires_grad and w.grad is None:
+            w.grad = np.zeros_like(w.data)
+        dsrc = np.zeros_like(src) if x.requires_grad else None
+        for d, idx in enumerate(taps):
+            if w.requires_grad:
+                w.grad[d] += np.einsum("jtc,jtd->cd", src[:, idx, :], g)
+            if dsrc is not None:
+                dsrc[:, idx, :] += np.einsum("jtd,cd->jtc", g, w.data[d])
+        if dsrc is not None:
+            x._accumulate(dsrc[:, pad : pad + frames, :] if padding == "zero" else dsrc)
 
     return _make(out_data, (x, w, bias), backward, "temporal_conv")

@@ -30,7 +30,7 @@ from . import tensor as tz
 from .checkpoint import load_checkpoint, save_checkpoint
 from .contrast import ContrastConfig, contrast_losses, make_banks
 from .data import SkeletonDataset
-from .decoupling import DecouplerParams, EmbeddingPair, decouple, init_decoupler
+from .decoupling import DecouplerParams, decouple, init_decoupler
 from .encoder import EncoderConfig, classify, encode, init_params, test_forward
 from .errors import ConfigError, DataFormatError, NumericError
 from .metrics import per_class_accuracy, silhouette_score, top1_accuracy
@@ -124,11 +124,6 @@ class Model:
         if self.decoupler is not None:
             named.update({f"decouple.{k}": v for k, v in self.decoupler.named().items()})
         return named
-
-    def embed(self, coords: np.ndarray) -> EmbeddingPair:
-        if self.decoupler is None:
-            raise ConfigError("model has no decoupling branches (framework disabled)")
-        return decouple(encode(self.params, self.encoder_cfg, coords), self.decoupler)
 
 
 @dataclass
@@ -312,30 +307,22 @@ def evaluate(model: Model, dataset: SkeletonDataset) -> EvalReport:
 
 
 def predict_logits(model: Model, coords: np.ndarray) -> np.ndarray:
-    """Detached logits for one sequence; same path evaluate() scores."""
-    frozen = {k: Tensor(t.data) for k, t in model.params.items()}
-    return classify(frozen, encode(frozen, model.encoder_cfg, coords)).data.copy()
+    """Tape-free logits for one sequence; same path evaluate() scores."""
+    with tz.no_grad():
+        return classify(model.params, encode(model.params, model.encoder_cfg, coords)).data
 
 
 def embedding_report(model: Model, dataset: SkeletonDataset) -> EmbeddingReport:
     """Analysis path: re-run the decoupling branches with final weights."""
     if model.decoupler is None:
         raise ConfigError("embedding report needs the decoupling branches (framework disabled)")
-    frozen_params = {k: Tensor(t.data) for k, t in model.params.items()}
-    frozen_dec = DecouplerParams(
-        spatial_reduce=Tensor(model.decoupler.spatial_reduce.data),
-        temporal_reduce=Tensor(model.decoupler.temporal_reduce.data),
-        spatial_embed=Tensor(model.decoupler.spatial_embed.data),
-        temporal_embed=Tensor(model.decoupler.temporal_embed.data),
-        reduction=model.decoupler.reduction,
-        dim=model.decoupler.dim,
-    )
-    spatial = np.zeros((len(dataset), frozen_dec.dim))
+    spatial = np.zeros((len(dataset), model.decoupler.dim))
     temporal = np.zeros_like(spatial)
-    for row, seq in enumerate(dataset):
-        pair = decouple(encode(frozen_params, model.encoder_cfg, seq.coords), frozen_dec)
-        spatial[row] = pair.spatial.data
-        temporal[row] = pair.temporal.data
+    with tz.no_grad():
+        for row, seq in enumerate(dataset):
+            pair = decouple(encode(model.params, model.encoder_cfg, seq.coords), model.decoupler)
+            spatial[row] = pair.spatial.data
+            temporal[row] = pair.temporal.data
     labels = dataset.labels()
     return EmbeddingReport(
         spatial=spatial,
@@ -421,14 +408,8 @@ def load_model(path: str) -> tuple[Model, dict]:
     tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
     decoupler = None
     if has_decoupler:
-        decoupler = DecouplerParams(
-            spatial_reduce=tensors["decouple.spatial_reduce"],
-            temporal_reduce=tensors["decouple.temporal_reduce"],
-            spatial_embed=tensors["decouple.spatial_embed"],
-            temporal_embed=tensors["decouple.temporal_embed"],
-            reduction=reduction,
-            dim=dim,
-        )
+        named = {name: tensors[f"decouple.{name}"] for name in skeleton.named()}
+        decoupler = DecouplerParams(**named, reduction=reduction, dim=dim)
     model = Model(
         encoder_cfg=encoder_cfg,
         num_classes=num_classes,

@@ -1,5 +1,7 @@
 """End-to-end checks of the command-line surface, run in-process."""
 
+import dataclasses
+import json
 import re
 
 import numpy as np
@@ -7,7 +9,9 @@ import pytest
 
 from stdcl import cli
 from stdcl.checkpoint import load_checkpoint, save_checkpoint
-from stdcl.config import read_manifest
+from stdcl.config import CONFIG_SCHEMA, read_manifest
+from stdcl.encoder import EncoderConfig
+from stdcl.train import TrainConfig
 
 
 def run_cli(*argv) -> int:
@@ -159,6 +163,33 @@ class TestTrain:
         assert run_cli("train", "-c", cfg) == cli.EXIT_USAGE
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit,named", [
+        pytest.param(lambda p: {**p, "config": {**p["config"], "train.epochs": "abc"}},
+                     "train.epochs", id="string-epochs"),
+        pytest.param(lambda p: [p], "JSON object", id="list-payload"),
+        pytest.param(lambda p: {**p, "config": {**p["config"], "encoder.hidden": 5}},
+                     "encoder.hidden", id="int-hidden"),
+        pytest.param(lambda p: {**p, "config": {**p["config"], "train.batch_size": True}},
+                     "train.batch_size", id="bool-batch-size"),
+        pytest.param(lambda p: {**p, "config": {**p["config"], "train.framework_enabled": "yes"}},
+                     "train.framework_enabled", id="string-flag"),
+        pytest.param(lambda p: {**p, "config": {**p["config"], "contrast.tau": "0.5"}},
+                     "contrast.tau", id="string-tau"),
+        pytest.param(lambda p: {**p, "seed": "3"}, "integer seed", id="string-seed"),
+    ])
+    def test_malformed_manifest_is_usage_error(self, workdir, trained_run, capsys, edit, named):
+        payload = json.loads((trained_run / "model-manifest.json").read_text())
+        path = workdir / "edited-manifest.json"
+        path.write_text(json.dumps(edit(payload)))
+        assert run_cli("train", "--from-manifest", path, "--out", workdir / "edited") == cli.EXIT_USAGE
+        assert named in capsys.readouterr().err
+
+    def test_unknown_precision_is_usage_error(self, workdir, config_path, capsys):
+        code = run_cli("train", "-c", config_path, "--out", workdir / "f16",
+                       "--set", "numeric.precision=float16")
+        assert code == cli.EXIT_USAGE
+        assert "numeric.precision" in capsys.readouterr().err
+
     def test_requires_config_or_manifest(self, capsys):
         assert run_cli("train") == cli.EXIT_USAGE
         assert "-c/--config or --from-manifest" in capsys.readouterr().err
@@ -242,6 +273,57 @@ class TestEval:
         path = self.edited_checkpoint(workdir, trained_run, "wide-head", widen_head)
         assert run_cli("eval", path, "-d", dataset_path) == cli.EXIT_DATA
         assert "'head.w' has shape" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("case", [
+        "list-record", "string-coords", "non-integer-label", "non-utf8-jsonl", "non-utf8-array-name",
+    ])
+    def test_malformed_input_is_data_error(self, workdir, trained_run, dataset_path, capsys, case):
+        checkpoint, data = trained_run / "model.ckpt", dataset_path
+        record = json.loads(dataset_path.read_text().splitlines()[0])
+        if case == "non-utf8-array-name":
+            blob = checkpoint.read_bytes()
+            at = blob.rfind(b"head.b")
+            checkpoint = workdir / "bad-name.ckpt"
+            checkpoint.write_bytes(blob[:at] + b"head\xffb" + blob[at + 6:])
+            where = f"{checkpoint}:"
+        else:
+            content, line = {
+                "list-record": (b"[1, 2, 3]\n", 1),
+                "string-coords": (json.dumps({**record, "coords": "abc"}).encode() + b"\n", 1),
+                "non-integer-label": (json.dumps({**record, "label": "one"}).encode() + b"\n", 1),
+                "non-utf8-jsonl": (json.dumps(record).encode() + b"\n\xff\xfe\n", 2),
+            }[case]
+            data = workdir / f"{case}.jsonl"
+            data.write_bytes(content)
+            where = f"{data}:{line}:"
+        assert run_cli("eval", checkpoint, "-d", data) == cli.EXIT_DATA
+        assert where in capsys.readouterr().err
+
+
+class TestConfigMapping:
+    """`stdcl train` builds its configs from the schema keys whose suffixes are field names."""
+
+    @staticmethod
+    def schema_defaults(*sections):
+        keys = [key for key in CONFIG_SCHEMA if key.partition(".")[0] in sections]
+        defaults = {key.partition(".")[2]: CONFIG_SCHEMA[key][1] for key in keys}
+        assert len(defaults) == len(keys)  # no two sections share a suffix
+        return defaults
+
+    def test_train_and_contrast_keys_are_train_config_fields(self):
+        schema = self.schema_defaults("train", "contrast")
+        fields = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+        assert set(schema) == set(fields)
+        assert schema == fields
+
+    def test_encoder_keys_are_encoder_config_fields(self):
+        schema = self.schema_defaults("encoder")
+        fields = {f.name: f.default for f in dataclasses.fields(EncoderConfig)}
+        assert set(schema) == set(fields) - {"joints", "frames"}
+        for name, default in schema.items():
+            if fields[name] is not dataclasses.MISSING:
+                assert default == fields[name], name
 
 
 class TestGradcheck:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from stdcl import instrumentation
+from stdcl import contrast, instrumentation
 from stdcl import tensor as tz
 from stdcl.contrast import (
     LITERAL_CLAMP,
@@ -20,19 +20,17 @@ from stdcl.contrast import (
     ContrastSample,
     MemoryBank,
     contrast_losses,
-    contrast_step,
-    cosine_similarity,
-    export_bank_tsv,
     info_nce,
     info_nce_batch,
-    load_bank_tsv,
     make_banks,
     sample_batch,
     sample_contrast,
 )
-from stdcl.decoupling import EmbeddingPair
+from stdcl.data import SyntheticSpec, generate_synthetic
+from stdcl.encoder import EncoderConfig
 from stdcl.errors import BankIntegrityError, ConfigError, NumericError
 from stdcl.tensor import Tensor
+from stdcl.train import SGD, TrainConfig, build_model, train_step
 
 
 def unit(vec):
@@ -248,17 +246,6 @@ class TestSampler:
             np.testing.assert_array_equal(sa.random_negatives, sb.random_negatives)
 
 
-class TestCosine:
-    def test_reference_values(self):
-        u = Tensor(np.array([1.0, 2.0, 2.0]))
-        assert abs(cosine_similarity(u, u).data - 1.0) < 1e-12
-        v = Tensor(-np.array([1.0, 2.0, 2.0]))
-        assert abs(cosine_similarity(u, v).data + 1.0) < 1e-12
-        w = Tensor(np.array([0.0, 2.0, -2.0]))
-        assert abs(cosine_similarity(u, w).data) < 1e-12
-        assert abs(cosine_similarity(u, Tensor(np.array([2.0, 4.0, 4.0]))).data - 1.0) < 1e-12
-
-
 class TestInfoNCE:
     def bank_with(self, rows, labels):
         bank = MemoryBank(len(rows), len(rows[0]), name="b", seed=0)
@@ -395,39 +382,60 @@ class TestInfoNCE:
             info_nce(Tensor(np.ones(2)), sample, bank, ContrastConfig())
 
 
-class TestStep:
-    def test_cold_start_returns_zero_losses_and_fills(self):
-        banks = make_banks(length=8, dim=4, seed=0)
-        pair = EmbeddingPair(
-            spatial=Tensor(np.array([1.0, 0, 0, 0]), requires_grad=True),
-            temporal=Tensor(np.array([0, 2.0, 0, 0]), requires_grad=True),
-        )
-        l_spa, l_tem, skipped = contrast_step(pair, banks, label=1, index=3,
-                                              cfg=ContrastConfig())
-        assert float(l_spa.data) == 0.0 and float(l_tem.data) == 0.0
-        assert skipped == 2
-        assert banks["spatial"].valid[3] and banks["temporal"].valid[3]
-        np.testing.assert_allclose(banks["temporal"].features[3], [0, 1.0, 0, 0])
-
-    def test_update_happens_after_sampling(self):
-        """The anchor's own fresh embedding must not appear in its sample."""
-        banks = make_banks(length=4, dim=3, seed=0)
-        cfg = ContrastConfig(n_pos_hard=4, n_neg_hard=4, n_neg_rand=4)
-        # stale entry for slot 0 pointing along x; new anchor along y
-        banks["spatial"].update(0, [1.0, 0, 0], 0)
-        banks["temporal"].update(0, [1.0, 0, 0], 0)
+def stale_training_state():
+    """A tiny model and its optimizer, and banks whose every slot holds a stale random row."""
+    spec = SyntheticSpec(joints=4, frames=8, num_spatial=2, num_temporal=2, per_class=3)
+    ds = generate_synthetic(spec, seed=0)
+    cfg = TrainConfig(batch_size=4, learning_rate=0.01, embed_dim=6, reduction=2,
+                      n_pos_hard=4, n_neg_hard=4, n_neg_rand=4)
+    encoder_cfg = EncoderConfig(joints=4, frames=8, channels=8, hidden=(4,), kernel_size=3)
+    model = build_model(encoder_cfg, ds.num_classes, cfg)
+    banks = make_banks(len(ds), cfg.embed_dim, seed=0)
+    rng = np.random.default_rng(0)
+    for seq in ds:
         for bank in banks.values():
-            bank.update(1, [0, 0, 1.0], 0)
-            bank.update(2, [0, 1.0, 0], 1)
-        pair = EmbeddingPair(
-            spatial=Tensor(np.array([0, 1.0, 0]), requires_grad=True),
-            temporal=Tensor(np.array([0, 1.0, 0]), requires_grad=True),
-        )
-        l_spa, l_tem, skipped = contrast_step(pair, banks, label=0, index=0, cfg=cfg)
-        # losses computed against the state where slot 0 was excluded
-        assert skipped == 0
-        # afterwards slot 0 holds the fresh embedding
-        np.testing.assert_allclose(banks["spatial"].features[0], [0, 1.0, 0])
+            bank.update(seq.index, rng.standard_normal(cfg.embed_dim), seq.label)
+    optimizer = SGD(model.named_tensors(), cfg.momentum, cfg.weight_decay)
+    return ds, model, banks, cfg, optimizer
+
+
+class TestStep:
+    def test_update_happens_after_sampling(self, monkeypatch):
+        """A slot is mined at its step-start value and rewritten only after the optimizer step."""
+        ds, model, banks, cfg, optimizer = stale_training_state()
+        batch = [ds[0], ds[1]]  # same label: each anchor's positives include the other's slot
+        assert batch[0].label == batch[1].label
+        stale = {name: bank.features.copy() for name, bank in banks.items()}
+        mined = []
+        original_sample = contrast.sample_batch
+
+        def spy_sample(bank, anchors, *args):
+            scores, samples = original_sample(bank, anchors, *args)
+            mined.append((bank.name, bank.features.copy(), np.array(anchors), scores, samples))
+            return scores, samples
+
+        at_sgd = []
+        original_step = optimizer.step
+
+        def spy_step(lr):
+            at_sgd.append({name: bank.features.copy() for name, bank in banks.items()})
+            original_step(lr)
+
+        monkeypatch.setattr(contrast, "sample_batch", spy_sample)
+        monkeypatch.setattr(optimizer, "step", spy_step)
+        record = train_step(batch, model, banks, cfg, optimizer, lr=cfg.learning_rate)
+        assert record.skipped_positives == 0
+        assert sorted(name for name, *_ in mined) == ["spatial", "temporal"] and len(at_sgd) == 1
+        for name, features, anchors, scores, samples in mined:
+            units = anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
+            np.testing.assert_array_equal(features, stale[name])
+            assert 1 in samples[0].positives and 0 in samples[1].positives
+            assert scores[0, 1] == pytest.approx(units[0] @ stale[name][1], abs=1e-12)
+            assert scores[1, 0] == pytest.approx(units[1] @ stale[name][0], abs=1e-12)
+            np.testing.assert_array_equal(at_sgd[0][name], stale[name])
+            np.testing.assert_allclose(banks[name].features[:2], units, atol=1e-12)
+            assert not np.allclose(units, stale[name][:2])
+            np.testing.assert_array_equal(banks[name].features[2:], stale[name][2:])
 
     def test_sample_and_loss_writes_nothing(self):
         banks = make_banks(length=4, dim=3, seed=0)
@@ -564,32 +572,11 @@ class TestBatchedPath:
             info_nce_batch(stacked, scores, [None] * 5, bank, ContrastConfig())
 
 
-class TestBankIO:
-    def test_tsv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        bank = filled_bank(rng, length=12, dim=4, fill=0.7)
-        path = str(tmp_path / "bank.tsv")
-        export_bank_tsv(bank, path)
-        back = load_bank_tsv(path)
-        np.testing.assert_array_equal(bank.valid, back.valid)
-        np.testing.assert_array_equal(bank.labels[bank.valid], back.labels[back.valid])
-        np.testing.assert_allclose(bank.features, back.features, atol=1e-7)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("a\tb\tc\tf0\n0\t0\t1\t1.0\n")
-        with pytest.raises(BankIntegrityError, match="header"):
-            load_bank_tsv(str(path))
-
-
 class TestInstrumentation:
     def test_read_write_counters(self):
+        ds, model, banks, cfg, optimizer = stale_training_state()
+        batch = list(ds)[: cfg.batch_size]
         instrumentation.reset()
-        banks = make_banks(length=4, dim=3, seed=0)
-        pair = EmbeddingPair(
-            spatial=Tensor(np.array([1.0, 0, 0])),
-            temporal=Tensor(np.array([1.0, 0, 0])),
-        )
-        contrast_step(pair, banks, label=0, index=0, cfg=ContrastConfig())
-        assert instrumentation.count("bank_reads") == 2
-        assert instrumentation.count("bank_writes") == 2
+        train_step(batch, model, banks, cfg, optimizer, lr=cfg.learning_rate)
+        assert instrumentation.count("bank_reads") == 2 * len(batch)
+        assert instrumentation.count("bank_writes") == 2 * len(batch)

@@ -167,6 +167,29 @@ class TestForwardValues:
         want = x.sum(axis=1) @ w.sum(axis=0) + 6 * b
         np.testing.assert_allclose(out.data.sum(axis=1), want, atol=1e-10)
 
+    @pytest.mark.parametrize("padding", ["zero", "circular"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("frames,k", [(7, 3), (6, 5), (2, 5)])  # (2, 5): kernel wider than input
+    def test_temporal_conv_matches_loop(self, padding, stride, frames, k):
+        rng = np.random.default_rng(frames * 10 + k)
+        x = rng.standard_normal((2, frames, 3))
+        w = rng.standard_normal((k, 3, 4))
+        b = rng.standard_normal(4)
+        t_out = -(-frames // stride)
+        want = np.empty((2, t_out, 4))
+        for j in range(2):
+            for t in range(t_out):
+                acc = b.copy()
+                for d in range(k):
+                    src = t * stride + d - k // 2
+                    if padding == "circular":
+                        acc += x[j, src % frames] @ w[d]
+                    elif 0 <= src < frames:
+                        acc += x[j, src] @ w[d]
+                want[j, t] = acc
+        out = tz.temporal_conv(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
+        np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
+
     def test_temporal_conv_bad_padding_rejected(self):
         with pytest.raises(DimensionError, match="padding"):
             tz.temporal_conv(Tensor(np.ones((2, 6, 3))), Tensor(np.zeros((3, 3, 4))),
@@ -242,6 +265,35 @@ class TestCheckedMode:
         with tz.using_precision("float32"):
             assert Tensor(1.0).data.dtype == np.float32
         assert Tensor(1.0).data.dtype == np.float64
+
+
+class TestNoGrad:
+    def test_ops_record_no_tape(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        with tz.no_grad():
+            out = tz.sum_all(tz.relu(x * 3.0))
+        assert not out.requires_grad
+        assert out._parents == () and out._backward_fn is None and out._op is None
+        assert out.item() == 3.0
+        assert tz.sum_all(x).requires_grad  # recording resumes after the block
+
+    def test_nests(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with tz.no_grad():
+            with tz.no_grad():
+                assert not tz.relu(x).requires_grad
+            assert not tz.relu(x).requires_grad
+        assert tz.relu(x).requires_grad
+
+    def test_restores_after_exception(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(DomainError):
+            with tz.no_grad():
+                tz.log(x * -1.0)
+        out = tz.sum_all(tz.relu(x))
+        assert out.requires_grad
+        out.backward()
+        np.testing.assert_array_equal(x.grad, [1.0, 1.0])
 
 
 class TestOperatorSugar:

@@ -113,8 +113,9 @@ class TestBuildModel:
         on = build_model(tiny_encoder(), 4, tiny_train(framework_enabled=True))
         off = build_model(tiny_encoder(), 4, tiny_train(framework_enabled=False))
         assert on.decoupler is not None and off.decoupler is None
+        _, ds = tiny_dataset()
         with pytest.raises(ConfigError, match="framework"):
-            off.embed(np.zeros((4, 8, 3)))
+            embedding_report(off, ds)
 
     def test_named_tensors_prefixes_decoupler(self):
         model = build_model(tiny_encoder(), 4, tiny_train())
