@@ -173,6 +173,12 @@ def cmd_eval(args) -> int:
             f"dataset has {dataset.num_classes} classes but the checkpoint was "
             f"trained with {model.num_classes}"
         )
+    enc = model.encoder_cfg
+    if (dataset.joints, dataset.frames) != (enc.joints, enc.frames):
+        raise DataFormatError(
+            f"dataset sequences have {dataset.joints} joints x {dataset.frames} frames but the "
+            f"checkpoint's encoder expects {enc.joints} x {enc.frames}"
+        )
     report = evaluate(model, dataset)
     print(f"accuracy {report.accuracy:.4f} over {report.count} sequences")
     report_path = args.report or os.path.join(

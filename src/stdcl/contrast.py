@@ -297,20 +297,18 @@ def info_nce(
 
 
 def contrast_losses(
-    bank: MemoryBank, embeddings: list, labels, indices, cfg: ContrastConfig
+    bank: MemoryBank, anchors: Tensor, labels, indices, cfg: ContrastConfig
 ) -> tuple[Tensor | None, int]:
-    """Losses of a batch of anchors against the bank as it stands; no bank write.
+    """Losses of a (B, D) batch of anchors against the bank as it stands; no bank write.
 
-    Stacks the B embeddings into one (B, D) tensor, mines every anchor
-    from one bank product and builds all B losses as one tape node.
-    Returns the (B,) losses, or None when no anchor has a term to
-    backpropagate, and the skip count: anchors without a sample plus
-    literal-form positives skipped.  Callers write the fresh embeddings
-    back after their backward pass.
+    Mines every anchor from one bank product and builds all B losses as
+    one tape node.  Returns the (B,) losses, or None when no anchor has a
+    term to backpropagate, and the skip count: anchors without a sample
+    plus literal-form positives skipped.  Callers write the fresh
+    embeddings back after their backward pass.
     """
-    stacked = tz.reshape(tz.concat_flatten(embeddings), (len(embeddings), bank.dim))
-    scores, samples = sample_batch(bank, stacked.data, labels, indices, cfg, bank.rng)
-    losses, skipped = info_nce_batch(stacked, scores, samples, bank, cfg)
+    scores, samples = sample_batch(bank, anchors.data, labels, indices, cfg, bank.rng)
+    losses, skipped = info_nce_batch(anchors, scores, samples, bank, cfg)
     unmined = sum(sample is None for sample in samples)
     live = any(s is not None and n < s.positives.size for s, n in zip(samples, skipped))
     return (losses if live else None), unmined + int(skipped.sum())

@@ -1,7 +1,8 @@
 """Spatial/temporal feature decoupling.
 
-Splits an encoder feature map (joints, frames, channels) into two
-fixed-size embeddings by averaging away one axis at a time:
+Splits each encoder feature map of a batch (batch, joints, frames,
+channels) into two fixed-size embeddings by averaging away one axis at a
+time:
 
 * the spatial branch averages over frames, keeping per-joint structure;
 * the temporal branch averages over joints, keeping per-frame structure.
@@ -46,8 +47,8 @@ class DecouplerParams:
 
 @dataclass
 class EmbeddingPair:
-    spatial: Tensor  # (dim,)
-    temporal: Tensor  # (dim,)
+    spatial: Tensor  # (batch, dim)
+    temporal: Tensor  # (batch, dim)
 
 
 def init_decoupler(
@@ -77,10 +78,10 @@ def init_decoupler(
 
 
 def decouple(feature_map: Tensor, params: DecouplerParams) -> EmbeddingPair:
-    """(joints, frames, channels) feature map -> spatial and temporal embeddings."""
-    if len(feature_map.shape) != 3:
-        raise DimensionError(f"decouple expects a rank-3 feature map, got shape {feature_map.shape}")
-    joints, frames, channels = feature_map.shape
+    """(batch, joints, frames, channels) feature maps -> (batch, dim) spatial and temporal embeddings."""
+    if len(feature_map.shape) != 4:
+        raise DimensionError(f"decouple expects a rank-4 feature map batch, got shape {feature_map.shape}")
+    batch, joints, frames, channels = feature_map.shape
     if channels != params.spatial_reduce.shape[0]:
         raise DimensionError(
             f"feature map has {channels} channels but reduction matrices expect "
@@ -99,12 +100,12 @@ def decouple(feature_map: Tensor, params: DecouplerParams) -> EmbeddingPair:
         )
     instrumentation.bump("decouple_calls")
 
-    over_frames = tz.mean_over_axes(feature_map, (1,))  # (joints, channels)
-    spatial_flat = tz.reshape(tz.matmul(over_frames, params.spatial_reduce), (1, joints * reduced))
-    spatial = tz.reshape(tz.matmul(spatial_flat, params.spatial_embed), (params.dim,))
+    over_frames = tz.mean_over_axes(feature_map, (2,))  # (batch, joints, channels)
+    spatial_flat = tz.reshape(tz.matmul(over_frames, params.spatial_reduce), (batch, joints * reduced))
+    spatial = tz.matmul(spatial_flat, params.spatial_embed)
 
-    over_joints = tz.mean_over_axes(feature_map, (0,))  # (frames, channels)
-    temporal_flat = tz.reshape(tz.matmul(over_joints, params.temporal_reduce), (1, frames * reduced))
-    temporal = tz.reshape(tz.matmul(temporal_flat, params.temporal_embed), (params.dim,))
+    over_joints = tz.mean_over_axes(feature_map, (1,))  # (batch, frames, channels)
+    temporal_flat = tz.reshape(tz.matmul(over_joints, params.temporal_reduce), (batch, frames * reduced))
+    temporal = tz.matmul(temporal_flat, params.temporal_embed)
 
     return EmbeddingPair(spatial=spatial, temporal=temporal)

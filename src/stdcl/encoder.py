@@ -1,13 +1,15 @@
 """Toy skeleton encoder.
 
-Maps raw coordinates (joints, frames, 3) to a feature map
-(joints, out_frames, channels) with a stack of temporal convolutions,
-each followed by a joint-mixing matrix applied across the joint axis.
+Maps a batch of raw coordinates (batch, joints, frames, 3) to feature maps
+(batch, joints, out_frames, channels) with a stack of temporal
+convolutions, each followed by a joint-mixing matrix applied across the
+joint axis.
 The mixing matrix is a fixed dense adjacency-like matrix by default
 (complete graph with self-loops, doubly stochastic) and can optionally
 be a learned matrix per block.  ReLU sits between blocks but not after
 the last one, so the final feature map is unconstrained in sign.  A
-linear head on the globally averaged feature map produces class logits.
+linear head on each globally averaged feature map produces a row of class
+logits.  A single sequence is the batch-of-one case.
 
 Parameters live in a flat dict keyed ``conv{i}.w``, ``conv{i}.b``,
 ``mix{i}`` (learned mixing only), ``head.w``, ``head.b`` so
@@ -110,19 +112,15 @@ def init_params(cfg: EncoderConfig, num_classes: int, seed: int) -> dict[str, Te
     return params
 
 
-def num_layers(cfg: EncoderConfig) -> int:
-    return len(cfg.hidden) + 1
-
-
 def encode(params: dict[str, Tensor], cfg: EncoderConfig, coords: np.ndarray) -> Tensor:
-    """(joints, frames, 3) coordinates -> (joints, out_frames, channels) features."""
+    """(batch, joints, frames, 3) coordinates -> (batch, joints, out_frames, channels) features."""
     coords = np.asarray(coords)
-    if coords.shape != (cfg.joints, cfg.frames, 3):
+    if coords.ndim != 4 or coords.shape[1:] != (cfg.joints, cfg.frames, 3):
         raise DimensionError(
-            f"encoder expects coords of shape {(cfg.joints, cfg.frames, 3)}, got {coords.shape}"
+            f"encoder expects a batch of coords of shape {(cfg.joints, cfg.frames, 3)}, got {coords.shape}"
         )
     x = Tensor(coords)
-    layers = num_layers(cfg)
+    layers = len(cfg.hidden) + 1
     fixed_mix = None
     if cfg.joint_mixing == "fixed":
         fixed_mix = Tensor(mixing_matrix(cfg.joints))
@@ -132,32 +130,27 @@ def encode(params: dict[str, Tensor], cfg: EncoderConfig, coords: np.ndarray) ->
             x, params[f"conv{i}.w"], params[f"conv{i}.b"],
             stride=stride, padding=cfg.temporal_padding,
         )
-        joints, frames, chans = x.shape
+        batch, joints, frames, chans = x.shape
         mix = fixed_mix if fixed_mix is not None else params[f"mix{i}"]
-        mixed = tz.matmul(mix, tz.reshape(x, (joints, frames * chans)))
-        x = tz.reshape(mixed, (joints, frames, chans))
+        x = tz.reshape(tz.matmul(mix, tz.reshape(x, (batch, joints, frames * chans))), x.shape)
         if i < layers - 1:
             x = tz.relu(x)
     return x
 
 
 def classify(params: dict[str, Tensor], feature_map: Tensor) -> Tensor:
-    """Global average pool over joints and frames, then a linear head. Returns (K,) logits."""
-    channels = feature_map.shape[2]
-    num_classes = params["head.w"].shape[1]
-    pooled = tz.mean_over_axes(feature_map, (0, 1))
-    row = tz.reshape(pooled, (1, channels))
-    logits = tz.add(tz.matmul(row, params["head.w"]), tz.reshape(params["head.b"], (1, num_classes)))
-    return tz.reshape(logits, (num_classes,))
+    """Global average pool over joints and frames, then a linear head. Returns (batch, K) logits."""
+    pooled = tz.mean_over_axes(feature_map, (1, 2))
+    return tz.add(tz.matmul(pooled, params["head.w"]), params["head.b"])
 
 
-def test_forward(params: dict[str, Tensor], cfg: EncoderConfig, coords: np.ndarray) -> int:
-    """Inference-path prediction: encoder + classifier head only.
+def test_forward(params: dict[str, Tensor], cfg: EncoderConfig, coords: np.ndarray) -> np.ndarray:
+    """Inference-path predictions for a (batch, joints, frames, 3) batch: encoder + classifier head only.
 
     Deliberately touches neither the decoupling branches nor the memory
     banks; runs under ``tz.no_grad()`` so no tape is built.  Ties in the
-    logits resolve to the lowest class index.
+    logits resolve to the lowest class index.  Returns (batch,) class indices.
     """
     with tz.no_grad():
         logits = classify(params, encode(params, cfg, coords))
-    return int(np.argmax(logits.data))
+    return np.argmax(logits.data, axis=1)

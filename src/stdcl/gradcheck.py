@@ -104,15 +104,19 @@ def _projector(rng, shape):
 
 
 def _case_matmul(rng):
-    params = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((4, 2))}
-    project = _projector(rng, (3, 2))
-    return params, lambda t: project(tz.matmul(t["a"], t["b"]))
+    """A chain of 2-d @ 2-d, 2-d @ batched (the joint mixing) and batched @ 2-d (the decoupler)."""
+    shapes = {"a": (3, 4), "b": (4, 4), "batched": (2, 4, 2), "c": (2, 5)}
+    params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    project = _projector(rng, (2, 3, 5))
+    return params, lambda t: project(tz.matmul(tz.matmul(tz.matmul(t["a"], t["b"]), t["batched"]), t["c"]))
 
 
 def _case_add(rng):
-    params = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((3, 4))}
+    """Same shapes, then a trailing-shape operand broadcast over the leading axis."""
+    params = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((3, 4)),
+              "row": rng.standard_normal((4,))}
     project = _projector(rng, (3, 4))
-    return params, lambda t: project(tz.add(t["a"], t["b"]))
+    return params, lambda t: project(tz.add(tz.add(t["a"], t["b"]), t["row"]))
 
 
 def _case_sub(rng):
@@ -167,12 +171,6 @@ def _case_reshape(rng):
     return params, lambda t: project(tz.reshape(t["x"], (2, 6)))
 
 
-def _case_concat_flatten(rng):
-    params = {"a": rng.standard_normal((2, 3)), "b": rng.standard_normal((4,))}
-    project = _projector(rng, (10,))
-    return params, lambda t: project(tz.concat_flatten([t["a"], t["b"]]))
-
-
 def _case_gather1d(rng):
     params = {"x": rng.standard_normal((10,))}
     idx = rng.integers(0, 10, size=6).tolist()  # repeats exercise scatter-add
@@ -195,9 +193,13 @@ def _case_mean_over_axes(rng):
 
 
 def _case_softmax_cross_entropy(rng):
-    params = {"logits": rng.standard_normal((7,))}
+    """A single (K,) vector, and (B, K) rows with one target each."""
+    params = {"logits": rng.standard_normal((7,)), "rows": rng.standard_normal((3, 7))}
     target = int(rng.integers(0, 7))
-    return params, lambda t: tz.softmax_cross_entropy(t["logits"], target)
+    targets = rng.integers(0, 7, size=3)
+    project = _projector(rng, (3,))
+    return params, lambda t: tz.add(tz.softmax_cross_entropy(t["logits"], target),
+                                    project(tz.softmax_cross_entropy(t["rows"], targets)))
 
 
 def _case_l2_normalize(rng):
@@ -210,14 +212,14 @@ def _case_l2_normalize(rng):
 
 def _case_temporal_conv(rng):
     params = {
-        "x": rng.standard_normal((2, 7, 3)),
+        "x": rng.standard_normal((2, 2, 7, 3)),
         "w": rng.standard_normal((3, 3, 4)),
         "b": rng.standard_normal((4,)),
     }
     stride = int(rng.choice([1, 2]))
     padding = str(rng.choice(["zero", "circular"]))
     t_out = -(-7 // stride)
-    project = _projector(rng, (2, t_out, 4))
+    project = _projector(rng, (2, 2, t_out, 4))
     return params, lambda t: project(
         tz.temporal_conv(t["x"], t["w"], t["b"], stride=stride, padding=padding)
     )
@@ -274,7 +276,6 @@ OP_CASES = {
     "log": _case_log,
     "relu": _case_relu,
     "reshape": _case_reshape,
-    "concat_flatten": _case_concat_flatten,
     "gather1d": _case_gather1d,
     "sum_over_axes": _case_sum_over_axes,
     "mean_over_axes": _case_mean_over_axes,
@@ -325,12 +326,13 @@ def run_op_checks(
 def _build_pipeline_case(seed: int):
     """One random instance of the complete training loss on tiny shapes.
 
-    Frozen pieces (input, bank contents, mined sample indices) are data;
-    the returned fn is a smooth function of the parameters.  Seeds whose
-    forward pass lands too close to a relu kink or a degenerate embedding
-    norm are rejected by the caller.
+    A batch of two sequences runs through the batched encoder, head and
+    decoupler, as in a training step.  Frozen pieces (inputs, bank contents,
+    mined sample indices) are data; the returned fn is a smooth function of
+    the parameters.  Seeds whose forward pass lands too close to a relu kink
+    or a degenerate embedding norm are rejected by the caller.
     """
-    from .contrast import ContrastConfig, MemoryBank, info_nce, sample_contrast
+    from .contrast import ContrastConfig, MemoryBank, _unit_rows, info_nce_batch, sample_batch
     from .decoupling import DecouplerParams, decouple, init_decoupler
     from .encoder import EncoderConfig, encode, classify, init_params
 
@@ -347,17 +349,17 @@ def _build_pipeline_case(seed: int):
     arrays = {k: t.data.copy() for k, t in params.items()}
     arrays.update({f"decouple.{k}": t.data.copy() for k, t in decoupler.named().items()})
 
-    coords = rng.standard_normal((cfg.joints, cfg.frames, 3))
-    label = int(rng.integers(0, num_classes))
-    anchor_index = 0
+    coords = rng.standard_normal((2, cfg.joints, cfg.frames, 3))
+    labels = rng.integers(0, num_classes, size=2)
+    anchor_slots = [0, 7]
 
     bank_size = 8
     banks = {}
     for name in ("spatial", "temporal"):
         bank = MemoryBank(length=bank_size, dim=5, name=name, seed=seed)
         bank_labels = rng.integers(0, num_classes, size=bank_size)
-        bank_labels[1] = label
-        bank_labels[2] = (label + 1) % num_classes
+        bank_labels[[1, 3]] = labels  # every anchor has a positive ...
+        bank_labels[[2, 4]] = (labels + 1) % num_classes  # ... and a negative
         for i in range(1, 7):
             bank.update(i, Tensor(rng.standard_normal(5)), int(bank_labels[i]))
         banks[name] = bank
@@ -372,30 +374,28 @@ def _build_pipeline_case(seed: int):
     def embeddings(tensors: dict[str, Tensor]):
         enc_params, dec = rebuild(tensors)
         feat = encode(enc_params, cfg, coords)
-        return decouple(feat, dec), enc_params, feat
+        pair = decouple(feat, dec)
+        return {"spatial": pair.spatial, "temporal": pair.temporal}, enc_params, feat
 
     with tz.using_precision("float64"), tz.trace_relu_gaps() as gaps:
-        pair0, _, _ = embeddings({k: Tensor(v, requires_grad=False) for k, v in arrays.items()})
+        heads0, _, _ = embeddings({k: Tensor(v, requires_grad=False) for k, v in arrays.items()})
         min_gap = min(gaps) if gaps else np.inf
-        norms = (float(np.linalg.norm(pair0.spatial.data)), float(np.linalg.norm(pair0.temporal.data)))
+        min_norm = min(float(np.linalg.norm(t.data, axis=1).min()) for t in heads0.values())
         samples = {
-            "spatial": sample_contrast(
-                banks["spatial"], pair0.spatial.data, label, anchor_index, ccfg, banks["spatial"].rng
-            ),
-            "temporal": sample_contrast(
-                banks["temporal"], pair0.temporal.data, label, anchor_index, ccfg, banks["temporal"].rng
-            ),
+            name: sample_batch(banks[name], t.data, labels, anchor_slots, ccfg, banks[name].rng)[1]
+            for name, t in heads0.items()
         }
 
     def fn(tensors: dict[str, Tensor]) -> Tensor:
-        pair, enc_params, feat = embeddings(tensors)
-        logits = classify(enc_params, feat)
-        loss = tz.softmax_cross_entropy(logits, label)
-        spa, _ = info_nce(pair.spatial, samples["spatial"], banks["spatial"], ccfg)
-        tem, _ = info_nce(pair.temporal, samples["temporal"], banks["temporal"], ccfg)
-        return tz.add(tz.add(loss, spa), tem)
+        heads, enc_params, feat = embeddings(tensors)
+        loss = tz.mean_over_axes(tz.softmax_cross_entropy(classify(enc_params, feat), labels), (0,))
+        for name, anchors in heads.items():
+            scores = _unit_rows(anchors.data, "gradcheck")[0] @ banks[name].features.T
+            nce, _ = info_nce_batch(anchors, scores, samples[name], banks[name], ccfg)
+            loss = tz.add(loss, tz.mean_over_axes(nce, (0,)))
+        return loss
 
-    usable = min_gap > 1e-3 and min(norms) > 1e-2
+    usable = min_gap > 1e-3 and min_norm > 1e-2
     return arrays, fn, usable
 
 

@@ -2,7 +2,9 @@
 
 A deliberately small engine: row-major numpy storage, a dynamic tape built
 as ops execute, and hand-written backward rules replayed in reverse
-topological order.  No broadcasting beyond scalar operands, no views.
+topological order.  Broadcasting goes only as far as a leading batch axis
+needs: `matmul` of a 2-d operand against a batched one, `add` of an operand
+shaped like the other's trailing axes, and scalar operands.  No views.
 
 Precision (float64 for gradient-check builds, float32 for training runs)
 and checked mode (reject any non-finite intermediate) are process-wide
@@ -12,7 +14,7 @@ switches, not per-tensor properties.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -233,18 +235,24 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> 
 # binary / elementwise ops
 
 
+def _sum_to_rank(g: np.ndarray, ndim: int) -> np.ndarray:
+    """Sum a gradient over the leading axes its operand was broadcast along."""
+    return g.sum(axis=tuple(range(g.ndim - ndim))) if g.ndim > ndim else g
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(f"matmul: expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """a @ b for 2-d operands, or a 2-d operand against a batched one (B, m, n)."""
+    if min(a.data.ndim, b.data.ndim) != 2 or max(a.data.ndim, b.data.ndim) > 3:
+        raise DimensionError(f"matmul: expects 2-d operands, or one 2-d and one 3-d, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: inner dimensions disagree: {a.shape} x {b.shape}")
     out_data = a.data @ b.data
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(_sum_to_rank(g @ np.swapaxes(b.data, -1, -2), a.data.ndim))
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(_sum_to_rank(np.swapaxes(a.data, -1, -2) @ g, b.data.ndim))
 
     return _make(out_data, (a, b), backward, "matmul")
 
@@ -255,13 +263,15 @@ def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "add")
+    """a + b, where b has a's shape or the shape of a's trailing axes."""
+    if b.data.ndim > a.data.ndim or a.shape[a.data.ndim - b.data.ndim :] != b.shape:
+        raise DimensionError(f"add: {b.shape} is not the trailing shape of {a.shape}")
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
             a._accumulate(g)
         if b.requires_grad:
-            b._accumulate(g)
+            b._accumulate(_sum_to_rank(g, b.data.ndim))
 
     return _make(a.data + b.data, (a, b), backward, "add")
 
@@ -376,23 +386,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _make(x.data.reshape(shape), (x,), backward, "reshape")
 
 
-def concat_flatten(tensors: Iterable[Tensor]) -> Tensor:
-    """Concatenate the row-major flattenings of `tensors` into one vector."""
-    parts = list(tensors)
-    if not parts:
-        raise DimensionError("concat_flatten: needs at least one tensor")
-    sizes = [t.size for t in parts]
-    offsets = np.cumsum([0] + sizes)
-    out_data = np.concatenate([t.data.reshape(-1) for t in parts])
-
-    def backward(g: np.ndarray) -> None:
-        for t, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._accumulate(g[lo:hi].reshape(t.shape))
-
-    return _make(out_data, parts, backward, "concat_flatten")
-
-
 def gather1d(x: Tensor, indices: Sequence[int]) -> Tensor:
     if x.data.ndim != 1:
         raise DimensionError(f"gather1d: expects a vector, got shape {x.shape}")
@@ -455,26 +448,38 @@ def sum_all(x: Tensor) -> Tensor:
 # task-specific ops
 
 
-def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """-log softmax(logits)[target], stable under large logits."""
-    if logits.data.ndim != 1 or logits.size < 2:
-        raise DimensionError(f"softmax_cross_entropy: expects a vector of >=2 logits, got {logits.shape}")
-    target = int(target)
-    if not 0 <= target < logits.size:
-        raise IndexError(f"softmax_cross_entropy: target {target} out of range [0, {logits.size})")
-    shifted = logits.data - logits.data.max()
+def softmax_cross_entropy(logits: Tensor, target) -> Tensor:
+    """-log softmax(row)[target] for each row of logits, stable under large logits.
+
+    A (K,) vector with an int target gives a scalar; (B, K) rows with (B,)
+    targets give the (B,) per-row losses.
+    """
+    if logits.data.ndim not in (1, 2) or logits.shape[-1] < 2:
+        raise DimensionError(f"softmax_cross_entropy: expects a vector or rows of >=2 logits, got {logits.shape}")
+    targets = np.asarray(target, dtype=np.int64)
+    if targets.shape != logits.shape[:-1]:
+        raise DimensionError(
+            f"softmax_cross_entropy: targets of shape {targets.shape} do not match logits {logits.shape}"
+        )
+    k = logits.shape[-1]
+    if targets.min() < 0 or targets.max() >= k:
+        raise IndexError(f"softmax_cross_entropy: target out of range [0, {k})")
+    rows = logits.data.reshape(-1, k)
+    picked = (np.arange(rows.shape[0]), targets.reshape(-1))
+    shifted = rows - rows.max(axis=1, keepdims=True)
     exps = np.exp(shifted)
-    total = exps.sum()
-    loss = np.log(total) - shifted[target]
-    probs = exps / total
+    total = exps.sum(axis=1)
+    loss = np.log(total) - shifted[picked]
+    probs = exps / total[:, None]
 
     def backward(g: np.ndarray) -> None:
         if logits.requires_grad:
             d = probs.copy()
-            d[target] -= 1.0
-            logits._accumulate(g * d)
+            d[picked] -= 1.0
+            logits._accumulate((d * np.reshape(g, (-1, 1))).reshape(logits.shape))
 
-    return _make(np.asarray(loss, dtype=active_dtype()), (logits,), backward, "softmax_cross_entropy")
+    out = np.asarray(loss.reshape(targets.shape), dtype=active_dtype())
+    return _make(out, (logits,), backward, "softmax_cross_entropy")
 
 
 def l2_normalize(v: Tensor) -> Tensor:
@@ -495,58 +500,59 @@ def l2_normalize(v: Tensor) -> Tensor:
 def temporal_conv(
     x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: str = "zero"
 ) -> Tensor:
-    """1-d convolution along the frame axis, shared across joints.
+    """1-d convolution along the frame axis, shared across the batch and joints.
 
-    x: (J, T, C_in); w: (k, C_in, C_out) with odd k; bias: (C_out,).
+    x: (B, J, T, C_in); w: (k, C_in, C_out) with odd k; bias: (C_out,).
     'same' padding, either zero-filled or circular (frame indices wrap);
     output frames = ceil(T / stride).  With circular padding and stride 1
     the summed output over frames equals (sum of kernel taps) times the
     summed input, so time-pooled statistics commute with the convolution.
+
+    Lowered to one product (im2col): the k taps of every output frame are
+    gathered into a (B*J*T', k*C_in) matrix and multiplied by w reshaped to
+    (k*C_in, C_out).
     """
-    if x.data.ndim != 3 or w.data.ndim != 3 or bias.data.ndim != 1:
+    if x.data.ndim != 4 or w.data.ndim != 3 or bias.data.ndim != 1:
         raise DimensionError(
-            f"temporal_conv: expects x (J,T,C), w (k,C,C'), bias (C',), got {x.shape}, {w.shape}, {bias.shape}"
+            f"temporal_conv: expects x (B,J,T,C), w (k,C,C'), bias (C',), got {x.shape}, {w.shape}, {bias.shape}"
         )
     k, c_in, c_out = w.shape
     if k % 2 == 0:
         raise DimensionError(f"temporal_conv: kernel size must be odd, got {k}")
-    if x.shape[2] != c_in or bias.shape[0] != c_out:
+    if x.shape[3] != c_in or bias.shape[0] != c_out:
         raise DimensionError(f"temporal_conv: channel mismatch: x {x.shape}, w {w.shape}, bias {bias.shape}")
     stride = int(stride)
     if stride < 1:
         raise DimensionError(f"temporal_conv: stride must be >= 1, got {stride}")
     if padding not in ("zero", "circular"):
         raise DimensionError(f"temporal_conv: padding must be 'zero' or 'circular', got {padding!r}")
-    joints, frames, _ = x.shape
+    batch, joints, frames, _ = x.shape
     pad = k // 2
     t_out = -(-frames // stride)
-    # one frame indexer per tap into `src`: a strided slice of the zero-padded
-    # input, or wrapped frame indices into the input itself.  No frame repeats
-    # within a tap, so the backward can scatter with a plain `+=`.
+    # idx[t, d]: the frame of `src` that tap d reads for output frame t, in the
+    # zero-padded input or, wrapped, in the input itself.  No frame repeats
+    # within a tap, so the backward can scatter each tap with a plain `+=`.
+    idx = np.arange(t_out)[:, None] * stride + np.arange(k)[None, :]
     if padding == "zero":
-        src = np.zeros((joints, frames + 2 * pad, c_in), dtype=x.data.dtype)
-        src[:, pad : pad + frames, :] = x.data
-        taps = [slice(d, d + stride * (t_out - 1) + 1, stride) for d in range(k)]
+        src = np.zeros((batch, joints, frames + 2 * pad, c_in), dtype=x.data.dtype)
+        src[:, :, pad : pad + frames, :] = x.data
     else:
         src = x.data
-        taps = [(np.arange(t_out) * stride + d - pad) % frames for d in range(k)]
-
-    out_data = np.broadcast_to(bias.data, (joints, t_out, c_out)).copy()
-    for d, idx in enumerate(taps):
-        out_data += np.einsum("jtc,cd->jtd", src[:, idx, :], w.data[d])
+        idx = (idx - pad) % frames
+    cols = np.take(src, idx, axis=2).reshape(-1, k * c_in)  # contiguous, so the reshape copies nothing
+    out_data = cols @ w.data.reshape(k * c_in, c_out)
+    out_data += bias.data
 
     def backward(g: np.ndarray) -> None:
+        g2 = g.reshape(-1, c_out)
         if bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 1)))
-        if w.requires_grad and w.grad is None:
-            w.grad = np.zeros_like(w.data)
-        dsrc = np.zeros_like(src) if x.requires_grad else None
-        for d, idx in enumerate(taps):
-            if w.requires_grad:
-                w.grad[d] += np.einsum("jtc,jtd->cd", src[:, idx, :], g)
-            if dsrc is not None:
-                dsrc[:, idx, :] += np.einsum("jtd,cd->jtc", g, w.data[d])
-        if dsrc is not None:
-            x._accumulate(dsrc[:, pad : pad + frames, :] if padding == "zero" else dsrc)
+            bias._accumulate(g2.sum(axis=0))
+        if w.requires_grad:
+            w._accumulate((cols.T @ g2).reshape(k, c_in, c_out))
+        if x.requires_grad:
+            dsrc = np.zeros_like(src)
+            for d in range(k):
+                dsrc[:, :, idx[:, d], :] += g @ w.data[d].T
+            x._accumulate(dsrc[:, :, pad : pad + frames, :] if padding == "zero" else dsrc)
 
-    return _make(out_data, (x, w, bias), backward, "temporal_conv")
+    return _make(out_data.reshape(batch, joints, t_out, c_out), (x, w, bias), backward, "temporal_conv")

@@ -10,7 +10,9 @@ zero are still evaluated for logging but are left out of the backward
 graph entirely, so a zero-weighted run takes bit-identical optimizer
 steps to a run with the term disabled outright.
 
-Batch semantics: every instance in a batch mines the banks as they
+Batch semantics: a step runs the whole batch through the encoder, the
+head and the decoupler as one forward pass with a leading batch axis, so
+it records one tape.  Every instance in a batch mines the banks as they
 stood at the start of the step; the fresh embeddings are written back
 only after the optimizer update.  One backward pass covers the whole
 weighted sum.
@@ -36,6 +38,10 @@ from .errors import ConfigError, DataFormatError, NumericError
 from .metrics import per_class_accuracy, silhouette_score, top1_accuracy
 from .rng import seeded_rng
 from .tensor import Tensor
+
+# Sequences per tape-free forward in evaluate() and embedding_report(): enough
+# to amortise the per-op overhead, few enough to keep peak memory near training's.
+TEST_CHUNK = 16
 
 METRICS_HEADER = [
     "kind",
@@ -209,12 +215,6 @@ def build_model(encoder_cfg: EncoderConfig, num_classes: int, cfg: TrainConfig) 
     return Model(encoder_cfg=encoder_cfg, num_classes=num_classes, params=params, decoupler=decoupler)
 
 
-def _sum_of_scalars(scalars: list) -> Tensor:
-    if len(scalars) == 1:
-        return scalars[0]
-    return tz.sum_all(tz.concat_flatten(scalars))
-
-
 def train_step(
     batch: list,
     model: Model,
@@ -226,77 +226,67 @@ def train_step(
     step: int = 0,
 ) -> StepRecord:
     t0 = time.perf_counter()
-    ce_terms: list = []
-    embeddings = {"spatial": [], "temporal": []}
-    for seq in batch:
-        feature_map = encode(model.params, model.encoder_cfg, seq.coords)
-        logits = classify(model.params, feature_map)
-        ce_terms.append(tz.softmax_cross_entropy(logits, seq.label))
-        if cfg.framework_enabled:
-            pair = decouple(feature_map, model.decoupler)
-            embeddings["spatial"].append(pair.spatial)
-            embeddings["temporal"].append(pair.temporal)
-
-    n = len(batch)
-    ce_mean = tz.scalar_mul(_sum_of_scalars(ce_terms), 1.0 / n)
-    nce_means = {"spatial": None, "temporal": None}
-    nce_values = {"spatial": 0.0, "temporal": 0.0}
+    labels = [seq.label for seq in batch]
+    indices = [seq.index for seq in batch]
+    feature_map = encode(model.params, model.encoder_cfg, np.stack([seq.coords for seq in batch]))
+    logits = classify(model.params, feature_map)
+    # batch-mean loss terms in graph order; a head whose anchors have no live term stays out
+    means = {"ce": tz.mean_over_axes(tz.softmax_cross_entropy(logits, labels), (0,))}
+    embeddings = {}
     skipped = 0
     if cfg.framework_enabled:
-        ccfg = cfg.contrast_config()
-        labels = [seq.label for seq in batch]
-        indices = [seq.index for seq in batch]
+        pair = decouple(feature_map, model.decoupler)
+        embeddings = {"spatial": pair.spatial, "temporal": pair.temporal}
         for name, anchors in embeddings.items():
-            losses, n_skip = contrast_losses(banks[name], anchors, labels, indices, ccfg)
+            losses, n_skip = contrast_losses(banks[name], anchors, labels, indices, cfg.contrast_config())
             skipped += n_skip
             if losses is not None:
-                nce_means[name] = tz.scalar_mul(tz.sum_all(losses), 1.0 / n)
-                nce_values[name] = float(losses.data.sum())
+                means[name] = tz.mean_over_axes(losses, (0,))
 
-    loss_ce = ce_mean.item()
-    loss_spa = nce_values["spatial"] / n
-    loss_tem = nce_values["temporal"] / n
-    total = cfg.lambda_ce * loss_ce + cfg.lambda_spatial * loss_spa + cfg.lambda_temporal * loss_tem
+    weights = {"ce": cfg.lambda_ce, "spatial": cfg.lambda_spatial, "temporal": cfg.lambda_temporal}
+    values = {name: means[name].item() if name in means else 0.0 for name in weights}
+    total = sum(weights[name] * values[name] for name in weights)
     if tz.is_checked():
-        for name, value in (("cross-entropy", loss_ce), ("spatial contrast", loss_spa),
-                            ("temporal contrast", loss_tem), ("total", total)):
+        for name, value in (*values.items(), ("total", total)):
             if not math.isfinite(value):
                 raise NumericError(f"non-finite {name} loss at epoch {epoch} step {step}")
 
-    def weighted(acc, mean, weight):
-        """Add a weighted mean term to the graph; zero weight stays out entirely."""
-        if weight == 0.0 or mean is None:
-            return acc
-        term = mean if weight == 1.0 else tz.scalar_mul(mean, weight)
-        return term if acc is None else tz.add(acc, term)
-
-    graph = weighted(None, ce_mean, cfg.lambda_ce)
-    graph = weighted(graph, nce_means["spatial"], cfg.lambda_spatial)
-    graph = weighted(graph, nce_means["temporal"], cfg.lambda_temporal)
+    # zero-weighted terms stay out of the graph entirely
+    graph = None
+    for name, mean in means.items():
+        if weights[name] != 0.0:
+            term = mean if weights[name] == 1.0 else tz.scalar_mul(mean, weights[name])
+            graph = term if graph is None else tz.add(graph, term)
     if graph is not None and graph.requires_grad:
         optimizer.zero_grad()
         graph.backward()
         optimizer.step(lr)
     for name, anchors in embeddings.items():
-        for seq, embedding in zip(batch, anchors):
-            banks[name].update(seq.index, embedding, seq.label)
+        for seq, row in zip(batch, anchors.data):
+            banks[name].update(seq.index, row, seq.label)
 
     return StepRecord(
         epoch=epoch,
         step=step,
-        loss_ce=loss_ce,
-        loss_spatial=loss_spa,
-        loss_temporal=loss_tem,
+        loss_ce=values["ce"],
+        loss_spatial=values["spatial"],
+        loss_temporal=values["temporal"],
         total=total,
         skipped_positives=skipped,
         wall_time=time.perf_counter() - t0,
     )
 
 
+def _coord_chunks(dataset: SkeletonDataset):
+    """(start, coords) for consecutive (<=TEST_CHUNK, joints, frames, 3) batches of the dataset."""
+    for start in range(0, len(dataset), TEST_CHUNK):
+        yield start, np.stack([seq.coords for seq in dataset.sequences[start : start + TEST_CHUNK]])
+
+
 def evaluate(model: Model, dataset: SkeletonDataset) -> EvalReport:
     """Top-1 accuracy over the inference path (encoder + head only)."""
-    predictions = np.array(
-        [test_forward(model.params, model.encoder_cfg, seq.coords) for seq in dataset], dtype=np.int64
+    predictions = np.concatenate(
+        [test_forward(model.params, model.encoder_cfg, coords) for _, coords in _coord_chunks(dataset)]
     )
     labels = dataset.labels()
     return EvalReport(
@@ -307,9 +297,9 @@ def evaluate(model: Model, dataset: SkeletonDataset) -> EvalReport:
 
 
 def predict_logits(model: Model, coords: np.ndarray) -> np.ndarray:
-    """Tape-free logits for one sequence; same path evaluate() scores."""
+    """Tape-free (K,) logits for one (joints, frames, 3) sequence; same path evaluate() scores."""
     with tz.no_grad():
-        return classify(model.params, encode(model.params, model.encoder_cfg, coords)).data
+        return classify(model.params, encode(model.params, model.encoder_cfg, np.asarray(coords)[None])).data[0]
 
 
 def embedding_report(model: Model, dataset: SkeletonDataset) -> EmbeddingReport:
@@ -319,10 +309,10 @@ def embedding_report(model: Model, dataset: SkeletonDataset) -> EmbeddingReport:
     spatial = np.zeros((len(dataset), model.decoupler.dim))
     temporal = np.zeros_like(spatial)
     with tz.no_grad():
-        for row, seq in enumerate(dataset):
-            pair = decouple(encode(model.params, model.encoder_cfg, seq.coords), model.decoupler)
-            spatial[row] = pair.spatial.data
-            temporal[row] = pair.temporal.data
+        for start, coords in _coord_chunks(dataset):
+            pair = decouple(encode(model.params, model.encoder_cfg, coords), model.decoupler)
+            spatial[start : start + len(coords)] = pair.spatial.data
+            temporal[start : start + len(coords)] = pair.temporal.data
     labels = dataset.labels()
     return EmbeddingReport(
         spatial=spatial,

@@ -238,6 +238,15 @@ class TestEval:
         assert run_cli("eval", trained_run / "model.ckpt", "-d", wide) == cli.EXIT_DATA
         assert "classes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("joints,frames", [(4, 12), (5, 8)])
+    def test_sequence_shape_mismatch_is_data_error(self, workdir, trained_run, capsys, joints, frames):
+        other = workdir / f"shape-{joints}x{frames}.jsonl"
+        assert run_cli("gen-data", "--joints", joints, "--frames", frames, "--spatial-motifs", 2,
+                       "--temporal-motifs", 2, "--per-class", 2, "-o", other) == cli.EXIT_OK
+        capsys.readouterr()
+        assert run_cli("eval", trained_run / "model.ckpt", "-d", other) == cli.EXIT_DATA
+        assert f"{joints} joints x {frames} frames" in capsys.readouterr().err
+
     @staticmethod
     def edited_checkpoint(workdir, trained_run, name, edit):
         """The trained checkpoint rewritten with `edit(arrays, meta)` applied."""

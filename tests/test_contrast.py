@@ -443,7 +443,7 @@ class TestStep:
         bank.update(1, [1.0, 0, 0], 0)
         bank.update(2, [0, 1.0, 0], 1)
         before = bank.features.copy()
-        loss, skipped = contrast_losses(bank, [Tensor(np.array([1.0, 1.0, 0.0]))], [0], [0],
+        loss, skipped = contrast_losses(bank, Tensor(np.array([[1.0, 1.0, 0.0]])), [0], [0],
                                         ContrastConfig())
         assert loss is not None
         np.testing.assert_array_equal(bank.features, before)
@@ -539,15 +539,14 @@ class TestBatchedPath:
     def test_step_counts_unmined_anchors_as_skipped(self):
         bank, anchors, labels, indices = self.batch()
         cfg = ContrastConfig(n_pos_hard=4, n_neg_hard=3, n_neg_rand=4)
-        embeddings = [Tensor(a, requires_grad=True) for a in anchors]
-        losses, skipped = contrast_losses(bank, embeddings, labels, indices, cfg)
+        losses, skipped = contrast_losses(bank, Tensor(anchors, requires_grad=True), labels, indices, cfg)
         assert losses.shape == (5,)
         assert skipped == 2
 
     def test_cold_bank_mines_nothing_and_draws_nothing(self):
         bank = MemoryBank(8, 4, name="b", seed=0)
         state = copy.deepcopy(bank.rng.bit_generator.state)
-        anchors = [Tensor(np.eye(4)[i], requires_grad=True) for i in range(4)]
+        anchors = Tensor(np.eye(4), requires_grad=True)
         losses, skipped = contrast_losses(bank, anchors, [0, 1, 0, 1], [0, 1, 2, 3], ContrastConfig())
         assert losses is None and skipped == 4
         assert bank.rng.bit_generator.state == state

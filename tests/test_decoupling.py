@@ -10,16 +10,16 @@ from stdcl.errors import ConfigError, DimensionError
 from stdcl.tensor import Tensor
 
 
-def feature(rng, j=4, t=5, c=8):
-    return Tensor(rng.standard_normal((j, t, c)))
+def feature(rng, b=2, j=4, t=5, c=8):
+    return Tensor(rng.standard_normal((b, j, t, c)))
 
 
 class TestShapes:
     def test_embedding_shapes(self):
         params = init_decoupler(joints=4, out_frames=5, channels=8, reduction=2, dim=7, seed=0)
         pair = decouple(feature(np.random.default_rng(0)), params)
-        assert pair.spatial.data.shape == (7,)
-        assert pair.temporal.data.shape == (7,)
+        assert pair.spatial.data.shape == (2, 7)
+        assert pair.temporal.data.shape == (2, 7)
 
     def test_reference_geometry(self):
         """J=25, T=16, C=64, r=8, D=256: flattened branch widths 200 and 128."""
@@ -28,9 +28,9 @@ class TestShapes:
         assert params.temporal_reduce.data.shape == (64, 8)
         assert params.spatial_embed.data.shape == (25 * 8, 256)
         assert params.temporal_embed.data.shape == (16 * 8, 256)
-        pair = decouple(Tensor(np.random.default_rng(2).standard_normal((25, 16, 64))), params)
-        assert pair.spatial.data.shape == (256,)
-        assert pair.temporal.data.shape == (256,)
+        pair = decouple(Tensor(np.random.default_rng(2).standard_normal((1, 25, 16, 64))), params)
+        assert pair.spatial.data.shape == (1, 256)
+        assert pair.temporal.data.shape == (1, 256)
 
     def test_divisibility_enforced(self):
         with pytest.raises(ConfigError, match="divisible"):
@@ -39,30 +39,30 @@ class TestShapes:
     def test_wrong_channels_rejected(self):
         params = init_decoupler(joints=4, out_frames=5, channels=8, reduction=2, dim=7, seed=0)
         with pytest.raises(DimensionError, match="channels"):
-            decouple(Tensor(np.zeros((4, 5, 6))), params)
+            decouple(Tensor(np.zeros((2, 4, 5, 6))), params)
 
     def test_wrong_joints_rejected(self):
         params = init_decoupler(joints=4, out_frames=5, channels=8, reduction=2, dim=7, seed=0)
         with pytest.raises(DimensionError, match="spatial branch"):
-            decouple(Tensor(np.zeros((3, 5, 8))), params)
+            decouple(Tensor(np.zeros((2, 3, 5, 8))), params)
 
     def test_wrong_frames_rejected(self):
         params = init_decoupler(joints=4, out_frames=5, channels=8, reduction=2, dim=7, seed=0)
         with pytest.raises(DimensionError, match="temporal branch"):
-            decouple(Tensor(np.zeros((4, 6, 8))), params)
+            decouple(Tensor(np.zeros((2, 4, 6, 8))), params)
 
     def test_rank_guard(self):
         params = init_decoupler(joints=4, out_frames=5, channels=8, reduction=2, dim=7, seed=0)
-        with pytest.raises(DimensionError, match="rank-3"):
-            decouple(Tensor(np.zeros((4, 5))), params)
+        with pytest.raises(DimensionError, match="rank-4"):
+            decouple(Tensor(np.zeros((4, 5, 8))), params)  # one map without its batch axis
 
 
 class TestLinearity:
     def test_both_branches_linear(self):
         params = init_decoupler(joints=4, out_frames=5, channels=8, reduction=2, dim=7, seed=3)
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((4, 5, 8))
-        y = rng.standard_normal((4, 5, 8))
+        x = rng.standard_normal((2, 4, 5, 8))
+        y = rng.standard_normal((2, 4, 5, 8))
         px = decouple(Tensor(x), params)
         py = decouple(Tensor(y), params)
         psum = decouple(Tensor(2.0 * x + y), params)
@@ -79,9 +79,9 @@ class TestFactorAttribution:
         params = init_decoupler(joints=4, out_frames=6, channels=8, reduction=2, dim=7, seed=5)
         rng = np.random.default_rng(6)
         # a purely temporal pattern: varies over frames, zero mean over frames
-        wave = rng.standard_normal((1, 6, 8))
-        wave -= wave.mean(axis=1, keepdims=True)
-        signal = np.tile(wave, (4, 1, 1))
+        wave = rng.standard_normal((2, 1, 6, 8))
+        wave -= wave.mean(axis=2, keepdims=True)
+        signal = np.tile(wave, (1, 4, 1, 1))
         pair = decouple(Tensor(signal), params)
         np.testing.assert_allclose(pair.spatial.data, 0.0, atol=1e-12)
         assert np.abs(pair.temporal.data).max() > 1e-3
@@ -90,16 +90,16 @@ class TestFactorAttribution:
         params = init_decoupler(joints=4, out_frames=6, channels=8, reduction=2, dim=7, seed=5)
         rng = np.random.default_rng(7)
         # a purely spatial pattern: varies over joints, zero mean over joints
-        pose = rng.standard_normal((4, 1, 8))
-        pose -= pose.mean(axis=0, keepdims=True)
-        signal = np.tile(pose, (1, 6, 1))
+        pose = rng.standard_normal((2, 4, 1, 8))
+        pose -= pose.mean(axis=1, keepdims=True)
+        signal = np.tile(pose, (1, 1, 6, 1))
         pair = decouple(Tensor(signal), params)
         np.testing.assert_allclose(pair.temporal.data, 0.0, atol=1e-12)
         assert np.abs(pair.spatial.data).max() > 1e-3
 
     def test_constant_feature_reaches_both(self):
         params = init_decoupler(joints=4, out_frames=6, channels=8, reduction=2, dim=7, seed=5)
-        pair = decouple(Tensor(np.ones((4, 6, 8))), params)
+        pair = decouple(Tensor(np.ones((1, 4, 6, 8))), params)
         assert np.abs(pair.spatial.data).max() > 1e-3
         assert np.abs(pair.temporal.data).max() > 1e-3
 
@@ -127,9 +127,9 @@ class TestInitAndState:
 
     def test_gradients_flow_to_all_weights(self):
         params = init_decoupler(4, 5, 8, 2, 7, seed=0)
-        x = Tensor(np.random.default_rng(10).standard_normal((4, 5, 8)), requires_grad=True)
+        x = Tensor(np.random.default_rng(10).standard_normal((2, 4, 5, 8)), requires_grad=True)
         pair = decouple(x, params)
-        total = tz.sum_all(tz.concat_flatten([pair.spatial, pair.temporal]))
+        total = tz.add(tz.sum_all(pair.spatial), tz.sum_all(pair.temporal))
         total.backward()
         assert x.grad is not None and np.abs(x.grad).max() > 0
         for name, t in params.named().items():

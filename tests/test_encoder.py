@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stdcl import encoder, instrumentation
+from stdcl.decoupling import decouple, init_decoupler
 from stdcl.encoder import EncoderConfig, classify, encode, init_params, mixing_matrix
 from stdcl.errors import ConfigError, DimensionError
 from stdcl.tensor import Tensor
@@ -83,35 +84,37 @@ class TestForward:
     def test_feature_map_shape(self):
         cfg = tiny_cfg()
         params = init_params(cfg, 4, seed=0)
-        coords = np.random.default_rng(0).standard_normal((3, 8, 3))
+        coords = np.random.default_rng(0).standard_normal((2, 3, 8, 3))
         feat = encode(params, cfg, coords)
-        assert feat.data.shape == (3, cfg.out_frames, 6)
+        assert feat.data.shape == (2, 3, cfg.out_frames, 6)
 
     def test_zero_input_zero_biases_gives_zero(self):
         cfg = tiny_cfg()
         params = init_params(cfg, 4, seed=0)
-        feat = encode(params, cfg, np.zeros((3, 8, 3)))
-        np.testing.assert_array_equal(feat.data, np.zeros((3, 4, 6)))
+        feat = encode(params, cfg, np.zeros((2, 3, 8, 3)))
+        np.testing.assert_array_equal(feat.data, np.zeros((2, 3, 4, 6)))
 
     def test_logit_shape(self):
         cfg = tiny_cfg()
         params = init_params(cfg, 4, seed=0)
-        coords = np.random.default_rng(1).standard_normal((3, 8, 3))
+        coords = np.random.default_rng(1).standard_normal((2, 3, 8, 3))
         logits = classify(params, encode(params, cfg, coords))
-        assert logits.data.shape == (4,)
+        assert logits.data.shape == (2, 4)
 
     def test_wrong_shape_rejected(self):
         cfg = tiny_cfg()
         params = init_params(cfg, 4, seed=0)
         with pytest.raises(DimensionError, match=r"\(3, 8, 3\)"):
-            encode(params, cfg, np.zeros((4, 8, 3)))
+            encode(params, cfg, np.zeros((1, 4, 8, 3)))
+        with pytest.raises(DimensionError, match=r"\(3, 8, 3\)"):
+            encode(params, cfg, np.zeros((3, 8, 3)))  # one sequence without its batch axis
 
     def test_single_layer_encoder_is_linear(self):
         """With no hidden blocks there is no ReLU, so encode() is linear."""
         cfg = tiny_cfg(hidden=())
         params = init_params(cfg, 4, seed=2)
         rng = np.random.default_rng(3)
-        x, y = rng.standard_normal((2, 3, 8, 3))
+        x, y = rng.standard_normal((2, 2, 3, 8, 3))
         fx = encode(params, cfg, x).data
         fy = encode(params, cfg, y).data
         fsum = encode(params, cfg, x + y).data
@@ -121,7 +124,7 @@ class TestForward:
         cfg = tiny_cfg(hidden=(4,))
         params = init_params(cfg, 4, seed=2)
         rng = np.random.default_rng(3)
-        x, y = rng.standard_normal((2, 3, 8, 3))
+        x, y = rng.standard_normal((2, 2, 3, 8, 3))
         fx = encode(params, cfg, x).data
         fy = encode(params, cfg, y).data
         fsum = encode(params, cfg, x + y).data
@@ -132,22 +135,22 @@ class TestInferencePath:
     def test_matches_classify_and_breaks_ties_low(self):
         cfg = tiny_cfg()
         params = init_params(cfg, 4, seed=0)
-        coords = np.random.default_rng(2).standard_normal((3, 8, 3))
+        coords = np.random.default_rng(2).standard_normal((5, 3, 8, 3))
         logits = classify(params, encode(params, cfg, coords)).data
         pred = encoder.test_forward(params, cfg, coords)
-        assert pred == int(np.argmax(logits))
+        np.testing.assert_array_equal(pred, np.argmax(logits, axis=1))
 
     def test_uniform_logits_tie_breaks_to_zero(self):
         cfg = tiny_cfg()
         params = init_params(cfg, 4, seed=0)
         # zero head weights + zero input -> all logits equal -> argmax = 0
         params["head.w"] = Tensor(np.zeros_like(params["head.w"].data), requires_grad=True)
-        assert encoder.test_forward(params, cfg, np.zeros((3, 8, 3))) == 0
+        np.testing.assert_array_equal(encoder.test_forward(params, cfg, np.zeros((2, 3, 8, 3))), [0, 0])
 
     def test_inference_touches_no_framework_state(self):
         cfg = tiny_cfg()
         params = init_params(cfg, 4, seed=0)
-        coords = np.random.default_rng(4).standard_normal((3, 8, 3))
+        coords = np.random.default_rng(4).standard_normal((2, 3, 8, 3))
         instrumentation.reset()
         encoder.test_forward(params, cfg, coords)
         assert instrumentation.count("decouple_calls") == 0
@@ -157,7 +160,7 @@ class TestInferencePath:
     def test_inference_leaves_no_grads(self):
         cfg = tiny_cfg()
         params = init_params(cfg, 4, seed=0)
-        coords = np.random.default_rng(5).standard_normal((3, 8, 3))
+        coords = np.random.default_rng(5).standard_normal((2, 3, 8, 3))
         encoder.test_forward(params, cfg, coords)
         assert all(p.grad is None for p in params.values())
 
@@ -176,11 +179,11 @@ class TestMixing:
         cfg = tiny_cfg(hidden=(), temporal_stride=1)
         params = init_params(cfg, 4, seed=1)
         rng = np.random.default_rng(2)
-        signal = rng.standard_normal((3, 8, 3))
-        signal -= signal.mean(axis=0, keepdims=True)
+        signal = rng.standard_normal((2, 3, 8, 3))
+        signal -= signal.mean(axis=1, keepdims=True)
         feat = encode(params, cfg, signal).data
-        bias_only = encode(params, cfg, np.zeros((3, 8, 3))).data
-        np.testing.assert_allclose((feat - bias_only).mean(axis=0), 0.0, atol=1e-12)
+        bias_only = encode(params, cfg, np.zeros((2, 3, 8, 3))).data
+        np.testing.assert_allclose((feat - bias_only).mean(axis=1), 0.0, atol=1e-12)
 
     def test_circular_padding_preserves_time_mean(self):
         """With circular stride-1 convs, a zero-time-mean input cannot reach
@@ -188,22 +191,22 @@ class TestMixing:
         cfg = tiny_cfg(hidden=(), temporal_stride=1, temporal_padding="circular")
         params = init_params(cfg, 4, seed=1)
         rng = np.random.default_rng(3)
-        signal = rng.standard_normal((3, 8, 3))
-        signal -= signal.mean(axis=1, keepdims=True)
+        signal = rng.standard_normal((2, 3, 8, 3))
+        signal -= signal.mean(axis=2, keepdims=True)
         feat = encode(params, cfg, signal).data
-        bias_only = encode(params, cfg, np.zeros((3, 8, 3))).data
-        np.testing.assert_allclose((feat - bias_only).mean(axis=1), 0.0, atol=1e-12)
+        bias_only = encode(params, cfg, np.zeros((2, 3, 8, 3))).data
+        np.testing.assert_allclose((feat - bias_only).mean(axis=2), 0.0, atol=1e-12)
 
     def test_zero_padding_leaks_time_mean(self):
         """Zero padding does not commute with time pooling (boundary loss)."""
         cfg = tiny_cfg(hidden=(), temporal_stride=1, temporal_padding="zero")
         params = init_params(cfg, 4, seed=1)
         rng = np.random.default_rng(3)
-        signal = rng.standard_normal((3, 8, 3))
-        signal -= signal.mean(axis=1, keepdims=True)
+        signal = rng.standard_normal((2, 3, 8, 3))
+        signal -= signal.mean(axis=2, keepdims=True)
         feat = encode(params, cfg, signal).data
-        bias_only = encode(params, cfg, np.zeros((3, 8, 3))).data
-        assert np.abs((feat - bias_only).mean(axis=1)).max() > 1e-6
+        bias_only = encode(params, cfg, np.zeros((2, 3, 8, 3))).data
+        assert np.abs((feat - bias_only).mean(axis=2)).max() > 1e-6
 
     def test_mode_validation(self):
         with pytest.raises(ConfigError, match="joint_mixing"):
@@ -216,16 +219,39 @@ class TestStride:
     def test_stride_applies_only_to_first_layer(self):
         cfg = tiny_cfg(frames=8, temporal_stride=2, hidden=(4,))
         params = init_params(cfg, 4, seed=0)
-        feat = encode(params, cfg, np.random.default_rng(0).standard_normal((3, 8, 3)))
+        feat = encode(params, cfg, np.random.default_rng(0).standard_normal((1, 3, 8, 3)))
         # one stride-2 halving, not two
-        assert feat.data.shape[1] == 4
+        assert feat.data.shape[2] == 4
 
     def test_static_input_is_static_over_time(self):
         """A time-constant input stays time-constant through temporal convs."""
         cfg = tiny_cfg(hidden=())
         params = init_params(cfg, 4, seed=6)
-        pose = np.random.default_rng(7).standard_normal((3, 1, 3))
-        coords = np.tile(pose, (1, 8, 1))
+        pose = np.random.default_rng(7).standard_normal((2, 3, 1, 3))
+        coords = np.tile(pose, (1, 1, 8, 1))
         feat = encode(params, cfg, coords).data
         # interior frames identical (boundary frames differ: zero padding)
-        np.testing.assert_allclose(feat[:, 1, :], feat[:, 2, :], atol=1e-12)
+        np.testing.assert_allclose(feat[:, :, 1, :], feat[:, :, 2, :], atol=1e-12)
+
+
+class TestBatchAxis:
+    """A batch is B independent sequences: each row equals its own batch-of-one call."""
+
+    @pytest.mark.parametrize("mixing", ["fixed", "learned"])
+    @pytest.mark.parametrize("padding", ["zero", "circular"])
+    def test_rows_equal_batch_of_one_calls(self, padding, mixing):
+        cfg = tiny_cfg(joint_mixing=mixing, temporal_padding=padding)
+        params = init_params(cfg, 4, seed=3)
+        decoupler = init_decoupler(joints=3, out_frames=cfg.out_frames, channels=6, reduction=2, dim=5, seed=3)
+        coords = np.random.default_rng(8).standard_normal((5, 3, 8, 3))
+        feat = encode(params, cfg, coords)
+        logits = classify(params, feat)
+        pair = decouple(feat, decoupler)
+        assert logits.shape == (5, 4) and pair.spatial.shape == pair.temporal.shape == (5, 5)
+        for b in range(5):
+            one = encode(params, cfg, coords[b : b + 1])
+            one_pair = decouple(one, decoupler)
+            np.testing.assert_allclose(feat.data[b], one.data[0], rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(logits.data[b], classify(params, one).data[0], rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(pair.spatial.data[b], one_pair.spatial.data[0], rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(pair.temporal.data[b], one_pair.temporal.data[0], rtol=1e-12, atol=1e-14)

@@ -40,7 +40,7 @@ def test_registry_covers_all_backward_ops():
     # sum_all is sum_over_axes over all axes; covered via its own entry
     public_ops = {
         "matmul", "add", "sub", "mul", "scalar_mul", "add_scalar", "exp", "log", "relu",
-        "reshape", "concat_flatten", "gather1d", "sum_over_axes", "mean_over_axes",
+        "reshape", "gather1d", "sum_over_axes", "mean_over_axes",
         "softmax_cross_entropy", "l2_normalize", "temporal_conv",
     }
     for name in public_ops:

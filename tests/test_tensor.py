@@ -37,6 +37,24 @@ class TestForwardValues:
         with pytest.raises(DimensionError):
             tz.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
 
+    def test_matmul_broadcasts_2d_against_batched(self):
+        rng = np.random.default_rng(0)
+        mix, rows, w = rng.standard_normal((3, 3)), rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5))
+        np.testing.assert_allclose(tz.matmul(Tensor(mix), Tensor(rows)).data, [mix @ r for r in rows])
+        np.testing.assert_allclose(tz.matmul(Tensor(rows), Tensor(w)).data, [r @ w for r in rows])
+
+    def test_matmul_two_batched_operands_rejected(self):
+        with pytest.raises(DimensionError, match="one 2-d and one 3-d"):
+            tz.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 5))))
+
+    def test_add_broadcasts_trailing_shape_only(self):
+        out = tz.add(Tensor(np.zeros((2, 3))), Tensor(np.array([1.0, 2.0, 3.0])))
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0]] * 2)
+        with pytest.raises(DimensionError, match="trailing shape"):
+            tz.add(Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
+        with pytest.raises(DimensionError, match="trailing shape"):
+            tz.add(Tensor(np.zeros(3)), Tensor(np.zeros((2, 3))))
+
     def test_exp_log_inverse_points(self):
         assert tz.exp(Tensor(0.0)).item() == 1.0
         assert tz.log(Tensor(1.0)).item() == 0.0
@@ -97,6 +115,22 @@ class TestForwardValues:
         with pytest.raises(IndexError):
             tz.softmax_cross_entropy(Tensor(np.zeros(4)), -1)
 
+    def test_softmax_ce_rows_match_vector_calls(self):
+        rows = np.random.default_rng(3).standard_normal((4, 5))
+        targets = [4, 0, 2, 2]
+        losses = tz.softmax_cross_entropy(Tensor(rows), targets)
+        assert losses.shape == (4,)
+        for row, target, loss in zip(rows, targets, losses.data):
+            assert loss == pytest.approx(tz.softmax_cross_entropy(Tensor(row), target).item(), rel=1e-12)
+
+    def test_softmax_ce_target_shape_mismatch(self):
+        with pytest.raises(DimensionError, match="targets of shape"):
+            tz.softmax_cross_entropy(Tensor(np.zeros((3, 4))), [0, 1])
+        with pytest.raises(DimensionError, match="targets of shape"):
+            tz.softmax_cross_entropy(Tensor(np.zeros((3, 4))), 0)
+        with pytest.raises(DimensionError, match="targets of shape"):
+            tz.softmax_cross_entropy(Tensor(np.zeros(4)), [0])
+
     def test_softmax_ce_shift_invariance(self):
         logits = np.array([1.0, -2.0, 0.5])
         a = tz.softmax_cross_entropy(Tensor(logits), 1).item()
@@ -112,12 +146,6 @@ class TestForwardValues:
         with pytest.raises(DimensionError):
             tz.reshape(Tensor(np.ones((3, 4))), (5, 2))
 
-    def test_concat_flatten_row_major(self):
-        a = np.arange(6.0).reshape(2, 3)
-        b = np.array([9.0, 10.0])
-        out = tz.concat_flatten([Tensor(a), Tensor(b)])
-        np.testing.assert_array_equal(out.data, [0, 1, 2, 3, 4, 5, 9, 10])
-
     def test_gather1d(self):
         out = tz.gather1d(Tensor(np.array([5.0, 6.0, 7.0])), [2, 0, 2])
         np.testing.assert_array_equal(out.data, [7.0, 5.0, 7.0])
@@ -126,73 +154,74 @@ class TestForwardValues:
 
     def test_temporal_conv_identity_kernel(self):
         # kernel that copies the center frame reproduces the input
-        x = np.random.default_rng(0).standard_normal((2, 6, 3))
+        x = np.random.default_rng(0).standard_normal((2, 2, 6, 3))
         w = np.zeros((3, 3, 3))
         w[1] = np.eye(3)
         out = tz.temporal_conv(Tensor(x), Tensor(w), Tensor(np.zeros(3)), stride=1)
         np.testing.assert_allclose(out.data, x)
 
     def test_temporal_conv_stride_output_frames(self):
-        x = Tensor(np.ones((2, 7, 3)))
+        x = Tensor(np.ones((3, 2, 7, 3)))
         w = Tensor(np.zeros((3, 3, 4)))
         b = Tensor(np.zeros(4))
-        assert tz.temporal_conv(x, w, b, stride=2).shape == (2, 4, 4)
-        assert tz.temporal_conv(x, w, b, stride=3).shape == (2, 3, 4)
+        assert tz.temporal_conv(x, w, b, stride=2).shape == (3, 2, 4, 4)
+        assert tz.temporal_conv(x, w, b, stride=3).shape == (3, 2, 3, 4)
 
     def test_temporal_conv_even_kernel_rejected(self):
         with pytest.raises(DimensionError):
-            tz.temporal_conv(Tensor(np.ones((2, 6, 3))), Tensor(np.zeros((4, 3, 4))), Tensor(np.zeros(4)))
+            tz.temporal_conv(Tensor(np.ones((1, 2, 6, 3))), Tensor(np.zeros((4, 3, 4))), Tensor(np.zeros(4)))
 
     def test_temporal_conv_circular_wraps(self):
         # tap at offset -1 with circular padding reads frame T-1 into frame 0
-        x = np.zeros((1, 5, 1))
-        x[0, 4, 0] = 1.0
+        x = np.zeros((1, 1, 5, 1))
+        x[0, 0, 4, 0] = 1.0
         w = np.zeros((3, 1, 1))
         w[0, 0, 0] = 1.0  # offset -1
         out = tz.temporal_conv(Tensor(x), Tensor(w), Tensor(np.zeros(1)),
                                stride=1, padding="circular")
-        np.testing.assert_allclose(out.data[0, :, 0], [1.0, 0.0, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(out.data[0, 0, :, 0], [1.0, 0.0, 0.0, 0.0, 0.0])
         # zero padding reads nothing there
         out0 = tz.temporal_conv(Tensor(x), Tensor(w), Tensor(np.zeros(1)), stride=1)
-        np.testing.assert_allclose(out0.data[0, :, 0], [0.0, 0.0, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(out0.data[0, 0, :, 0], [0.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_temporal_conv_circular_time_sum_commutes(self):
         # stride-1 circular conv: frame-summed output = kernel-sum applied
         # to the frame-summed input (plus T * bias)
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((2, 6, 3))
+        x = rng.standard_normal((3, 2, 6, 3))
         w = rng.standard_normal((5, 3, 4))
         b = rng.standard_normal(4)
         out = tz.temporal_conv(Tensor(x), Tensor(w), Tensor(b), stride=1, padding="circular")
-        want = x.sum(axis=1) @ w.sum(axis=0) + 6 * b
-        np.testing.assert_allclose(out.data.sum(axis=1), want, atol=1e-10)
+        want = x.sum(axis=2) @ w.sum(axis=0) + 6 * b
+        np.testing.assert_allclose(out.data.sum(axis=2), want, atol=1e-10)
 
     @pytest.mark.parametrize("padding", ["zero", "circular"])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("frames,k", [(7, 3), (6, 5), (2, 5)])  # (2, 5): kernel wider than input
     def test_temporal_conv_matches_loop(self, padding, stride, frames, k):
         rng = np.random.default_rng(frames * 10 + k)
-        x = rng.standard_normal((2, frames, 3))
+        x = rng.standard_normal((3, 2, frames, 3))
         w = rng.standard_normal((k, 3, 4))
         b = rng.standard_normal(4)
         t_out = -(-frames // stride)
-        want = np.empty((2, t_out, 4))
-        for j in range(2):
-            for t in range(t_out):
-                acc = b.copy()
-                for d in range(k):
-                    src = t * stride + d - k // 2
-                    if padding == "circular":
-                        acc += x[j, src % frames] @ w[d]
-                    elif 0 <= src < frames:
-                        acc += x[j, src] @ w[d]
-                want[j, t] = acc
+        want = np.empty((3, 2, t_out, 4))
+        for n in range(3):
+            for j in range(2):
+                for t in range(t_out):
+                    acc = b.copy()
+                    for d in range(k):
+                        src = t * stride + d - k // 2
+                        if padding == "circular":
+                            acc += x[n, j, src % frames] @ w[d]
+                        elif 0 <= src < frames:
+                            acc += x[n, j, src] @ w[d]
+                    want[n, j, t] = acc
         out = tz.temporal_conv(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
         np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
 
     def test_temporal_conv_bad_padding_rejected(self):
         with pytest.raises(DimensionError, match="padding"):
-            tz.temporal_conv(Tensor(np.ones((2, 6, 3))), Tensor(np.zeros((3, 3, 4))),
+            tz.temporal_conv(Tensor(np.ones((1, 2, 6, 3))), Tensor(np.zeros((3, 3, 4))),
                              Tensor(np.zeros(4)), padding="reflect")
 
 
@@ -232,6 +261,14 @@ class TestBackward:
         (g,) = grad_of(lambda l: tz.softmax_cross_entropy(l, 1), np.array([0.3, -1.2, 2.0]))
         assert g.sum() == pytest.approx(0.0, abs=1e-12)
         assert g[1] < 0  # target logit pushed up
+
+    def test_broadcast_grads_sum_over_the_batch(self):
+        rng = np.random.default_rng(4)
+        mix, rows, bias = rng.standard_normal((3, 3)), rng.standard_normal((2, 3, 4)), rng.standard_normal(4)
+        g_mix, g_rows, g_bias = grad_of(lambda m, r, b: tz.sum_all(tz.add(tz.matmul(m, r), b)), mix, rows, bias)
+        np.testing.assert_allclose(g_mix, sum(np.ones((3, 4)) @ r.T for r in rows))
+        np.testing.assert_allclose(g_rows, np.broadcast_to(mix.T @ np.ones((3, 4)), (2, 3, 4)))
+        np.testing.assert_array_equal(g_bias, np.full(4, 6.0))
 
     def test_add_scalar_tensor_grad(self):
         x = np.array([1.0, 2.0, 3.0])
@@ -335,7 +372,6 @@ def test_l2_normalize_unit_norm(values):
 def test_reshape_concat_bijection(seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((2, 3))
-    b = rng.standard_normal(4)
-    flat = tz.concat_flatten([Tensor(a), Tensor(b)])
-    np.testing.assert_array_equal(flat.data[:6].reshape(2, 3), a)
-    np.testing.assert_array_equal(flat.data[6:], b)
+    flat = tz.reshape(Tensor(a), (6,))
+    np.testing.assert_array_equal(flat.data, a.reshape(-1))
+    np.testing.assert_array_equal(tz.reshape(flat, (2, 3)).data, a)

@@ -7,15 +7,18 @@ import os
 import numpy as np
 import pytest
 
-from stdcl import instrumentation
+from stdcl import instrumentation, train
+from stdcl import tensor as tz
 from stdcl.contrast import make_banks
 from stdcl.data import SyntheticSpec, generate_synthetic
-from stdcl.encoder import EncoderConfig
+from stdcl.decoupling import decouple
+from stdcl.encoder import EncoderConfig, classify, encode
 from stdcl.errors import ConfigError
 from stdcl.tensor import Tensor
 from stdcl.train import (
     METRICS_HEADER,
     SGD,
+    TEST_CHUNK,
     TrainConfig,
     build_model,
     embedding_report,
@@ -169,6 +172,91 @@ class TestTrainStep:
         assert all(bank.fill_fraction() == 0.0 for bank in banks.values())
 
 
+def warm_state(cfg, ds):
+    """A model, its optimizer, and banks whose every slot already holds a row."""
+    model = build_model(tiny_encoder(), ds.num_classes, cfg)
+    banks = make_banks(len(ds), cfg.embed_dim, seed=cfg.seed)
+    rng = np.random.default_rng(1)
+    for seq in ds:
+        for bank in banks.values():
+            bank.update(seq.index, rng.standard_normal(cfg.embed_dim), seq.label)
+    return model, banks, SGD(model.named_tensors(), cfg.momentum, cfg.weight_decay)
+
+
+class TestOneTapePerStep:
+    """A step is one batched forward, one tape and one backward, whatever the batch size."""
+
+    def test_one_encode_decouple_and_backward_per_step(self, monkeypatch):
+        _, ds = tiny_dataset()
+        cfg = tiny_train()
+        model, banks, opt = warm_state(cfg, ds)
+        calls = {"encode": 0, "decouple": 0, "backward": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(train, "encode", counted("encode", train.encode))
+        monkeypatch.setattr(train, "decouple", counted("decouple", train.decouple))
+        monkeypatch.setattr(Tensor, "backward", counted("backward", Tensor.backward))
+        train_step(list(ds)[:8], model, banks, cfg, opt, lr=cfg.learning_rate)
+        assert calls == {"encode": 1, "decouple": 1, "backward": 1}
+
+    def test_tape_size_does_not_grow_with_the_batch(self, monkeypatch):
+        _, ds = tiny_dataset()
+        cfg = tiny_train()
+        sizes = []
+        original = Tensor.backward
+
+        def sized(root):
+            sizes.append(len(tz._toposort(root)))
+            return original(root)
+
+        monkeypatch.setattr(Tensor, "backward", sized)
+        for batch_size in (2, 8):
+            model, banks, opt = warm_state(cfg, ds)
+            record = train_step(list(ds)[:batch_size], model, banks, cfg, opt, lr=cfg.learning_rate)
+            assert record.loss_spatial > 0.0 and record.loss_temporal > 0.0
+        assert len(sizes) == 2 and sizes[0] == sizes[1]
+
+    def test_gradients_are_the_mean_of_per_sequence_ce_gradients(self):
+        _, ds = tiny_dataset()
+        cfg = tiny_train(framework_enabled=False)
+        batch = list(ds)[:6]
+        model = build_model(tiny_encoder(), ds.num_classes, cfg)
+        opt = SGD(model.named_tensors(), cfg.momentum, cfg.weight_decay)
+        train_step(batch, model, {}, cfg, opt, lr=cfg.learning_rate)
+
+        reference = build_model(tiny_encoder(), ds.num_classes, cfg)
+        summed = {name: np.zeros_like(t.data) for name, t in reference.params.items()}
+        for seq in batch:
+            for t in reference.params.values():
+                t.zero_grad()
+            logits = classify(reference.params, encode(reference.params, reference.encoder_cfg, seq.coords[None]))
+            tz.softmax_cross_entropy(logits, [seq.label]).backward()
+            for name, t in reference.params.items():
+                summed[name] += t.grad
+        for name, t in model.params.items():
+            np.testing.assert_allclose(t.grad, summed[name] / len(batch), rtol=1e-10, atol=1e-14, err_msg=name)
+
+    def test_float32_steps_stay_float32(self):
+        _, ds = tiny_dataset()
+        cfg = tiny_train()
+        with tz.using_precision("float32"):
+            model = build_model(tiny_encoder(), ds.num_classes, cfg)
+            banks = make_banks(len(ds), cfg.embed_dim, seed=cfg.seed)
+            opt = SGD(model.named_tensors(), cfg.momentum, cfg.weight_decay)
+            for step in range(3):  # the first step fills the banks the next two mine
+                record = train_step(list(ds)[:4], model, banks, cfg, opt, lr=cfg.learning_rate, step=step)
+        assert record.loss_spatial > 0.0 and record.loss_temporal > 0.0
+        for name, t in model.named_tensors().items():
+            assert t.data.dtype == np.float32, name
+            assert t.grad is not None and t.grad.dtype == np.float32, name
+            assert opt.velocity[name].dtype == np.float32, name
+
+
 class TestFit:
     def test_zero_epochs_returns_init(self, tmp_path):
         _, ds = tiny_dataset()
@@ -280,6 +368,20 @@ class TestEvaluate:
         report = evaluate(model, ds)
         assert report.accuracy == pytest.approx(float(np.mean(ds.labels() == 2)))
         assert report.per_class[2] == pytest.approx(1.0)
+
+    def test_chunked_test_path_matches_single_sequences(self):
+        _, ds = tiny_dataset(per_class=5)
+        assert len(ds) > TEST_CHUNK  # spans a chunk boundary
+        model = build_model(tiny_encoder(), ds.num_classes, tiny_train())
+        logits = np.stack([predict_logits(model, seq.coords) for seq in ds])
+        report = evaluate(model, ds)
+        predictions = np.argmax(logits, axis=1)
+        assert report.accuracy == pytest.approx(float(np.mean(predictions == ds.labels())))
+        embeddings = embedding_report(model, ds)
+        for seq in ds:
+            pair = decouple(encode(model.params, model.encoder_cfg, seq.coords[None]), model.decoupler)
+            np.testing.assert_allclose(embeddings.spatial[seq.index], pair.spatial.data[0], rtol=1e-12)
+            np.testing.assert_allclose(embeddings.temporal[seq.index], pair.temporal.data[0], rtol=1e-12)
 
     def test_logits_deterministic(self):
         _, ds = tiny_dataset()
