@@ -5,14 +5,18 @@ independent loop-transcribed oracle and hand-computed fixtures, not just
 range checks.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from stdcl.errors import DimensionError
 from stdcl.metrics import (
-    pairwise_distances,
+    SILHOUETTE_BLOCK,
+    _block_distances,
     per_class_accuracy,
     silhouette_score,
     top1_accuracy,
@@ -41,11 +45,32 @@ def oracle_silhouette(x: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(scores))
 
 
+def cdist_silhouette(x: np.ndarray, labels: np.ndarray) -> float:
+    """Textbook mean silhouette over a full scipy distance matrix."""
+    dist = cdist(x, x)
+    scores = np.zeros(len(x))
+    for i in range(len(x)):
+        own = labels == labels[i]
+        if own.sum() == 1:
+            continue
+        a = dist[i, own].sum() / (own.sum() - 1)
+        b = min(dist[i, labels == c].mean() for c in np.unique(labels) if c != labels[i])
+        scores[i] = 0.0 if max(a, b) == 0.0 else (b - a) / max(a, b)
+    return float(scores.mean())
+
+
+def tiled_distances(x: np.ndarray, block: int) -> np.ndarray:
+    """The full distance matrix, stacked from the helper's row blocks."""
+    sq = np.sum(x * x, axis=1)
+    starts = range(0, len(x), block)
+    return np.vstack([_block_distances(x, sq, s, min(s + block, len(x))) for s in starts])
+
+
 class TestPairwiseDistances:
     def test_matches_norm_loops(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((12, 5))
-        dist = pairwise_distances(x)
+        dist = tiled_distances(x, block=5)  # blocks of 5, 5 and 2 rows
         for i in range(12):
             for j in range(12):
                 assert dist[i, j] == pytest.approx(np.linalg.norm(x[i] - x[j]), abs=1e-10)
@@ -53,7 +78,7 @@ class TestPairwiseDistances:
     def test_zero_diagonal_and_symmetry(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((9, 3))
-        dist = pairwise_distances(x)
+        dist = tiled_distances(x, block=4)
         assert np.allclose(np.diag(dist), 0.0)
         assert np.allclose(dist, dist.T)
 
@@ -68,6 +93,32 @@ class TestSilhouette:
             got = silhouette_score(x, labels)
             want = oracle_silhouette(x, labels)
             assert got == pytest.approx(want, abs=1e-12), f"trial {trial}"
+
+    def test_matches_cdist_oracle_across_blocks(self):
+        # 700 rows: two full blocks and a partial third
+        assert 2 * SILHOUETTE_BLOCK < 700 < 3 * SILHOUETTE_BLOCK
+        rng = np.random.default_rng(11)
+        codes = np.array([-3, 5, 12, 40])
+        labels = codes[rng.integers(0, 4, size=700)]
+        x = rng.standard_normal((700, 6)) + 3.0 * labels[:, None] / 40.0
+        labels[SILHOUETTE_BLOCK] = 77  # a singleton class opening the second block
+        x[650] = x[20]  # coincident points in different blocks
+        labels[650] = labels[20]
+        got = silhouette_score(x, labels)
+        assert got == pytest.approx(cdist_silhouette(x, labels), rel=1e-12, abs=0.0)
+
+    def test_memory_stays_below_one_dense_matrix(self):
+        # one 3000 x 3000 float64 matrix is 68.7 MiB; blocks hold 256 rows
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((3000, 8))
+        labels = rng.integers(0, 5, size=3000)
+        tracemalloc.start()
+        try:
+            silhouette_score(x, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_hand_computed_two_tight_pairs(self):
         # pairs {0,1} and {10,11}: per-point s = 19/21, 17/19, 17/19, 19/21
