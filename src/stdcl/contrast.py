@@ -7,17 +7,20 @@ written) slots hold zeros and are excluded from sampling.
 
 A training step handles a head's whole batch at once.  The B anchors are
 scored against every bank slot by one ``(B, D) @ (D, L)`` product of the
-unit anchors with the bank.  Each row of that score matrix is then mined
-in batch order: the hardest positives (lowest cosine similarity among
-same-label slots) and hardest negatives (highest similarity among
-different-label slots), padded with uniform random draws from the
-remaining different-label slots.  Similarity ties break toward the lower
-slot index, so sampling is fully deterministic given the bank state and
-RNG stream.  ``sample_contrast`` and ``info_nce`` are the batch-of-one
-case of the same code.
+unit anchors with the bank.  Each row mines the hardest positives
+(lowest cosine similarity among same-label slots) and hardest negatives
+(highest similarity among different-label slots), padded with uniform
+random draws from the remaining different-label slots.  One sort per
+call ranks the valid slots of all B rows; similarity ties break toward
+the lower slot index, and only the rows that hold a tie are re-ranked to
+apply that rule.  Rows draw their random negatives in batch order, so
+sampling is fully deterministic given the bank state and RNG stream.
+``sample_contrast`` and ``info_nce`` are the batch-of-one case of the
+same code.
 
 All B losses are one tape node that reads its similarities from the
-same score matrix.  Two loss forms are provided:
+same score matrix, gathered for all rows at once.  Two loss forms are
+provided:
 
 * ``exponentiated`` (default): standard InfoNCE with temperature --
   per positive ``log(exp(sp/tau) + sum_n exp(sn/tau)) - sp/tau``,
@@ -157,6 +160,11 @@ def _unit_rows(anchors: np.ndarray, where: str) -> tuple[np.ndarray, np.ndarray]
     return rows / norms[:, None], norms
 
 
+def _bounds(counts) -> list:
+    """Segment boundaries [0, c0, c0 + c1, ...] of consecutive segments of the given sizes."""
+    return [0, *np.cumsum(counts).tolist()]
+
+
 def sample_batch(
     bank: MemoryBank,
     anchors: np.ndarray,
@@ -170,8 +178,17 @@ def sample_batch(
     Returns (scores, samples): scores[b, j] is the cosine similarity of
     anchor b to bank slot j, from one product with the whole bank, and
     samples[b] is anchor b's ContrastSample, or None if either side of its
-    pool is empty.  Rows are mined in batch order, so the random negatives
-    are the draws that B one-anchor calls would take from `rng`.
+    pool is empty.
+
+    One sort ranks every row's valid slots, highest similarity first.  A
+    row without a repeated score has a single order, so the unstable sort
+    finds it exactly; its negatives are its ranked slots of another label
+    and its positives those of its own label, reversed.  Only a row that
+    repeats a score (``==``, so -0.0 ties 0.0) is re-ranked with
+    ``lexsort``, ties toward the lower slot, and its positives get a
+    rising ``lexsort`` of their own.  The anchor's own slot is in neither
+    pool.  Rows draw their random negatives in batch order, so the draws
+    are those that B one-anchor calls would take from `rng`.
     """
     units, _ = _unit_rows(anchors, "contrast sampling")
     if len(labels) != units.shape[0] or len(indices) != units.shape[0]:
@@ -180,26 +197,41 @@ def sample_batch(
         )
     scores = units @ bank.features.T
     slots = np.flatnonzero(bank.valid)
-    slot_labels = bank.labels[slots]
+    valid_scores = scores[:, slots]
+    count, width = valid_scores.shape
+    order = np.argsort(-valid_scores, axis=1)
+    ordered = valid_scores.ravel()[order + width * np.arange(count)[:, None]]
+    tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    for b in np.flatnonzero(tied):
+        order[b] = np.lexsort((slots, -valid_scores[b]))
+    ranked = slots[order]
+    labels = np.asarray(labels, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    same = bank.labels[ranked] == labels[:, None]
+    others = ranked != indices[:, None]
+    pos_masks = same & others
+    neg_masks = ~same & others
+    pos_flat, neg_flat = ranked[pos_masks], ranked[neg_masks]
+    pos_bounds, neg_bounds = _bounds(pos_masks.sum(axis=1)), _bounds(neg_masks.sum(axis=1))
     samples = []
-    for row, label, index in zip(scores, labels, indices):
+    for b in range(count):
         instrumentation.bump("bank_reads")
-        others = slots != index
-        same = slot_labels == label
-        pos_pool = slots[same & others]
-        neg_pool = slots[~same & others]
-        if pos_pool.size == 0 or neg_pool.size == 0:
+        positives = pos_flat[pos_bounds[b] : pos_bounds[b + 1]]
+        negatives = neg_flat[neg_bounds[b] : neg_bounds[b + 1]]
+        if positives.size == 0 or negatives.size == 0:
             samples.append(None)
             continue
-        # lowest similarity first; ties toward the lower slot index
-        pos_order = np.lexsort((pos_pool, row[pos_pool]))
-        neg_order = np.lexsort((neg_pool, -row[neg_pool]))
-        remaining = neg_pool[neg_order[cfg.n_neg_hard :]]
+        if tied[b]:
+            rising = slots[np.lexsort((slots, valid_scores[b]))]
+            positives = rising[(bank.labels[rising] == labels[b]) & (rising != indices[b])]
+        else:
+            positives = positives[::-1]
+        remaining = negatives[cfg.n_neg_hard :]
         n_rand = min(cfg.n_neg_rand, remaining.size)
         rand_neg = rng.choice(remaining, size=n_rand, replace=False) if n_rand else remaining[:0]
         samples.append(ContrastSample(
-            positives=pos_pool[pos_order[: cfg.n_pos_hard]].astype(np.int64),
-            hard_negatives=neg_pool[neg_order[: cfg.n_neg_hard]].astype(np.int64),
+            positives=positives[: cfg.n_pos_hard].astype(np.int64),
+            hard_negatives=negatives[: cfg.n_neg_hard].astype(np.int64),
             random_negatives=np.asarray(rand_neg, dtype=np.int64),
         ))
     return scores, samples
@@ -218,6 +250,15 @@ def sample_contrast(
     return sample_batch(bank, anchor[None, :], [label], [anchor_index], cfg, rng)[1][0]
 
 
+def _segment_sums(values: np.ndarray, bounds: list) -> np.ndarray:
+    """Sum of each values[bounds[i]:bounds[i + 1]], one ``np.sum`` per segment.
+
+    ``np.add.reduceat`` would add each segment sequentially rather than
+    pairwise and change the last bits of the sums.
+    """
+    return np.array([values[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
+
+
 def info_nce_batch(
     anchors: Tensor, scores: np.ndarray, samples: list, bank: MemoryBank, cfg: ContrastConfig
 ) -> tuple[Tensor, np.ndarray]:
@@ -226,9 +267,13 @@ def info_nce_batch(
     `anchors` is (B, D); `scores` and `samples` are what `sample_batch`
     returned for its rows.  Returns the (B,) per-anchor losses, 0 where
     samples[b] is None, and the (B,) counts of literal-form positives
-    skipped.  The backward maps the score gradients dS to the anchors as
-    dS @ bank.features through the row-normalize Jacobian, so the slots a
-    sample names must not be rewritten before the backward pass.
+    skipped.  The positives of all mined rows are laid out back to back
+    in one flat array, and so are the negatives; each is gathered from
+    `scores` by one index, and per-row maxima and sums are taken over
+    each row's contiguous segment.  The backward maps the score gradients
+    dS to the anchors as dS @ bank.features through the row-normalize
+    Jacobian, so the slots a sample names must not be rewritten before
+    the backward pass.
     """
     count = anchors.shape[0]
     if anchors.data.ndim != 2 or scores.shape != (count, bank.length) or len(samples) != count:
@@ -241,38 +286,55 @@ def info_nce_batch(
     losses = np.zeros(count)
     skipped = np.zeros(count, dtype=np.int64)
     d_scores = np.zeros(scores.shape)  # d losses[b] / d scores[b, :]
-    for b, sample in enumerate(samples):
-        if sample is None:
-            continue
-        if sample.positives.size == 0:
-            raise ConfigError("info_nce requires at least one positive (caller should skip)")
-        negatives = sample.negatives
-        pos = scores[b, sample.positives] * inv_tau
-        neg = scores[b, negatives] * inv_tau
+    live = np.array([b for b, sample in enumerate(samples) if sample is not None], dtype=np.int64)
+    if any(samples[b].positives.size == 0 for b in live):
+        raise ConfigError("info_nce requires at least one positive (caller should skip)")
+    if live.size:
+        negatives = [samples[b].negatives for b in live]
+        pos_slots = np.concatenate([samples[b].positives for b in live])
+        neg_slots = np.concatenate(negatives)
+        for named in (pos_slots, neg_slots):
+            if named.size and (named.min() < 0 or named.max() >= bank.length):
+                raise DimensionError(f"info_nce: sample names a slot outside [0, {bank.length})")
+        pos_counts = np.array([samples[b].positives.size for b in live])
+        neg_counts = np.array([n.size for n in negatives])
+        pos_bounds, neg_bounds = _bounds(pos_counts), _bounds(neg_counts)
+        pos_seg = np.repeat(np.arange(live.size), pos_counts)  # segment of each positive
+        neg_seg = np.repeat(np.arange(live.size), neg_counts)
+        pos_at = bank.length * live[pos_seg] + pos_slots  # flat (row, slot) positions in scores
+        neg_at = bank.length * live[neg_seg] + neg_slots
+        pos = np.take(scores, pos_at) * inv_tau
+        neg = np.take(scores, neg_at) * inv_tau
         if cfg.loss_form == "exponentiated":
-            shift = float(max(pos.max(), neg.max())) if neg.size else float(pos.max())
-            exp_pos = np.exp(pos - shift)
-            exp_neg = np.exp(neg - shift)
-            denom = exp_pos + exp_neg.sum()
-            losses[b] = np.sum(np.log(denom) + shift - pos)
+            shift = np.maximum.reduceat(pos, pos_bounds[:-1])
+            has_neg = neg_counts > 0
+            if has_neg.any():
+                neg_max = np.maximum.reduceat(neg, np.array(neg_bounds[:-1])[has_neg])
+                shift[has_neg] = np.maximum(shift[has_neg], neg_max)
+            exp_pos = np.exp(pos - shift[pos_seg])
+            exp_neg = np.exp(neg - shift[neg_seg])
+            denom = exp_pos + _segment_sums(exp_neg, neg_bounds)[pos_seg]
+            losses[live] = _segment_sums(np.log(denom) + shift[pos_seg] - pos, pos_bounds)
             d_pos = exp_pos / denom - 1.0
-            d_neg = exp_neg * np.sum(1.0 / denom)
+            d_neg = exp_neg * _segment_sums(1.0 / denom, pos_bounds)[neg_seg]
         else:
             # literal ratio form: no exponentials, so guard against non-positive terms
-            denom = pos + neg.sum()
+            denom = pos + _segment_sums(neg, neg_bounds)[pos_seg]
             over = denom - LITERAL_CLAMP > 0
             clamped = np.where(over, denom - LITERAL_CLAMP, 0.0) + LITERAL_CLAMP
             keep = pos > 0.0
-            skipped[b] = pos.size - np.count_nonzero(keep)
-            if not keep.any():
-                continue
-            losses[b] = -np.sum(np.log(pos[keep]) - np.log(clamped[keep]))
+            kept = np.add.reduceat(keep.astype(np.int64), pos_bounds[:-1])
+            skipped[live] = pos_counts - kept
+            terms = np.log(pos[keep]) - np.log(clamped[keep])
+            scored = kept > 0
+            losses[live[scored]] = -_segment_sums(terms, _bounds(kept))[scored]
             d_clamped = np.where(keep & over, 1.0 / clamped, 0.0)
-            d_neg = np.full(neg.size, d_clamped.sum())
+            d_neg = _segment_sums(d_clamped, pos_bounds)[neg_seg]
             d_pos = d_clamped.copy()
             d_pos[keep] -= 1.0 / pos[keep]
-        np.add.at(d_scores[b], sample.positives, d_pos * inv_tau)
-        np.add.at(d_scores[b], negatives, d_neg * inv_tau)
+        flat = d_scores.reshape(-1)  # np.add.at: a slot a sample names twice gets both terms
+        np.add.at(flat, pos_at, d_pos * inv_tau)
+        np.add.at(flat, neg_at, d_neg * inv_tau)
     dtype = anchors.data.dtype
 
     def backward(g: np.ndarray) -> None:

@@ -252,6 +252,27 @@ def resample_dataset(ds: SkeletonDataset, frames: int) -> SkeletonDataset:
 # file formats
 
 
+def _round9(values: np.ndarray) -> np.ndarray:
+    """``round(float(v), 9)`` of every value, as one array expression.
+
+    For |v * 1e9| < 2**52 the integer rint(v * 1e9) is exact, and dividing
+    it by 1e9 rounds correctly to the double nearest the 9-place decimal,
+    which is what ``round`` returns, as long as that integer is the right
+    one.  It can be wrong only when the rounded product lies near a
+    half-way point; those values, and the large ones, go through
+    ``round`` itself.
+    """
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = values * 1e9
+        out = np.rint(scaled) / 1e9
+        halfway = np.abs(scaled - np.floor(scaled) - 0.5) <= 2 * np.spacing(np.abs(scaled))
+        redo = np.flatnonzero(halfway | (np.abs(scaled) >= 2.0**52))
+    for i in redo.tolist():
+        out[i] = round(float(values[i]), 9)
+    return out
+
+
 def save_jsonl(ds: SkeletonDataset, path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for seq in ds:
@@ -260,7 +281,7 @@ def save_jsonl(ds: SkeletonDataset, path: str) -> None:
                 "label": seq.label,
                 "joints": seq.joints,
                 "frames": seq.frames,
-                "coords": [round(float(v), 9) for v in seq.coords.reshape(-1)],
+                "coords": _round9(seq.coords).tolist(),
             }
             f.write(json.dumps(record) + "\n")
 

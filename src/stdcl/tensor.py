@@ -13,6 +13,7 @@ switches, not per-tensor properties.
 
 from __future__ import annotations
 
+import ctypes
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -35,6 +36,25 @@ _fault_op: str | None = None
 _relu_gap_trace: list | None = None
 
 NORM_EPSILON = 1e-12
+
+# glibc raises its mmap and trim thresholds as the process frees large
+# blocks, so whether a step's temporaries are reused from the heap or mapped,
+# faulted in and returned on every step depends on what ran before.  Fixed
+# thresholds make a fit's speed independent of that history.
+MALLOC_MMAP_THRESHOLD = 4 << 20
+MALLOC_TRIM_THRESHOLD = 8 << 20
+
+
+def _fix_malloc_thresholds() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return
+    mallopt(-3, MALLOC_MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+    mallopt(-1, MALLOC_TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+
+
+_fix_malloc_thresholds()
 
 
 def set_precision(name: str) -> None:

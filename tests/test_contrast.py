@@ -7,15 +7,19 @@ definition.
 """
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stdcl import contrast, instrumentation
 from stdcl import tensor as tz
 from stdcl.contrast import (
     LITERAL_CLAMP,
+    LOSS_FORMS,
     ContrastConfig,
     ContrastSample,
     MemoryBank,
@@ -28,7 +32,7 @@ from stdcl.contrast import (
 )
 from stdcl.data import SyntheticSpec, generate_synthetic
 from stdcl.encoder import EncoderConfig
-from stdcl.errors import BankIntegrityError, ConfigError, NumericError
+from stdcl.errors import BankIntegrityError, ConfigError, DimensionError, NumericError
 from stdcl.tensor import Tensor
 from stdcl.train import SGD, TrainConfig, build_model, train_step
 
@@ -536,6 +540,54 @@ class TestBatchedPath:
         if form == "literal":
             assert skipped.sum() > 0  # the clamp-and-skip branch was exercised
 
+    def test_ties_inside_a_batch_break_toward_the_lower_slot(self):
+        """Mirrored bank rows tie only for anchors with a zero first coordinate.
+
+        Slots 2j and 2j + 1 hold a row and its mirror in coordinate 0, with
+        one label per pair, so an anchor with u[0] == 0 sees every pair as an
+        exact tie and an odd cut splits a pair; other anchors see no tie.
+        """
+        rng = np.random.default_rng(21)
+        bank = MemoryBank(52, 6, name="b", seed=8)
+        for j in range(24):
+            row = rng.standard_normal(6)
+            mirror = row.copy()
+            mirror[0] = -mirror[0]
+            bank.update(2 * j, row, j % 3)
+            bank.update(2 * j + 1, mirror, j % 3)
+        anchors = rng.standard_normal((6, 6))
+        tied_rows = [0, 2, 3, 5]
+        anchors[tied_rows, 0] = 0.0
+        labels = [0, 1, 2, 0, 1, 2]
+        indices = [48, 49, 50, 6, 7, 51]  # slots 48-51 are empty; rows 3 and 4 drop one slot of pair 3
+        cfg = ContrastConfig(n_pos_hard=3, n_neg_hard=5, n_neg_rand=7)
+        ref_rng = copy.deepcopy(bank.rng)
+        want = [reference_mine(bank, a, y, i, cfg, ref_rng)
+                for a, y, i in zip(anchors, labels, indices)]
+
+        scores, samples = sample_batch(bank, anchors, labels, indices, cfg, bank.rng)
+
+        pairs_tie = scores[:, 0:48:2] == scores[:, 1:48:2]
+        assert pairs_tie[tied_rows].all() and not pairs_tie[[1, 4]].any()
+        assert bank.rng.bit_generator.state == ref_rng.bit_generator.state
+        for b, (sample, mined) in enumerate(zip(samples, want)):
+            assert (sample.positives.tolist(), sample.hard_negatives.tolist(),
+                    sample.random_negatives.tolist()) == mined, f"row {b}"
+        for b in (0, 2, 5):  # a pair straddles each cut, and the lower slot wins both directions
+            positives, hard, _ = want[b]
+            assert positives[2] % 2 == 0 and positives[2] + 1 not in positives
+            assert hard[4] % 2 == 0 and hard[4] + 1 not in hard
+
+    def test_slot_outside_the_bank_raises(self):
+        bank, anchors, labels, indices = self.batch()
+        stacked = Tensor(anchors, requires_grad=True)
+        scores = np.zeros((5, bank.length))
+        for bad in (bank.length, -1):
+            sample = ContrastSample(positives=np.array([1]), hard_negatives=np.array([bad]),
+                                    random_negatives=np.array([], dtype=np.int64))
+            with pytest.raises(DimensionError, match="outside"):
+                info_nce_batch(stacked, scores, [None, sample, None, None, None], bank, ContrastConfig())
+
     def test_step_counts_unmined_anchors_as_skipped(self):
         bank, anchors, labels, indices = self.batch()
         cfg = ContrastConfig(n_pos_hard=4, n_neg_hard=3, n_neg_rand=4)
@@ -569,6 +621,112 @@ class TestBatchedPath:
         scores = np.zeros((5, bank.length))
         with pytest.raises(NumericError, match="degenerate"):
             info_nce_batch(stacked, scores, [None] * 5, bank, ContrastConfig())
+
+
+def per_row_loss(row, sample, cfg):
+    """(loss, skipped) of one anchor from its score row, in the per-row numpy form."""
+    inv_tau = 1.0 / cfg.tau
+    pos = row[sample.positives] * inv_tau
+    neg = row[sample.negatives] * inv_tau
+    if cfg.loss_form == "exponentiated":
+        shift = float(max(pos.max(), neg.max())) if neg.size else float(pos.max())
+        exp_pos = np.exp(pos - shift)
+        denom = exp_pos + np.exp(neg - shift).sum()
+        return np.sum(np.log(denom) + shift - pos), 0
+    denom = pos + neg.sum()
+    clamped = np.where(denom - LITERAL_CLAMP > 0, denom - LITERAL_CLAMP, 0.0) + LITERAL_CLAMP
+    keep = pos > 0.0
+    loss = -np.sum(np.log(pos[keep]) - np.log(clamped[keep])) if keep.any() else 0.0
+    return loss, pos.size - np.count_nonzero(keep)
+
+
+def exact_rows():
+    """Every integer 5-vector with squared norm 64.
+
+    Their unit rows are v / 8, so a score between two of them is a multiple
+    of 1/64 and comes out exact whatever order a matrix product sums in:
+    a one-anchor product and a B-anchor product agree bit for bit, and
+    equal scores are exact ties.
+    """
+    grid = np.stack(np.meshgrid(*[np.arange(-8, 9)] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    rest = 64 - (grid**2).sum(axis=1)
+    last = np.rint(np.sqrt(np.maximum(rest, 0))).astype(np.int64)
+    fits = (rest >= 0) & (last**2 == rest)
+    grid, last = grid[fits], last[fits]
+    return np.concatenate([np.c_[grid, last], np.c_[grid, -last][last > 0]]).astype(np.float64)
+
+
+EXACT_ROWS = exact_rows()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    length=st.integers(2, 30),
+    num_labels=st.integers(1, 4),
+    duplicates=st.integers(0, 12),
+    batch=st.integers(1, 6),
+    n_pos_hard=st.integers(1, 6),
+    n_neg_hard=st.integers(0, 8),
+    n_neg_rand=st.integers(0, 8),
+    tau=st.sampled_from([0.1, 0.5, 0.8, 2.0]),
+)
+def test_batch_equals_batches_of_one(seed, length, num_labels, duplicates, batch,
+                                     n_pos_hard, n_neg_hard, n_neg_rand, tau):
+    """B mined rows equal B one-anchor calls and the oracle, and each row's loss its
+    batch-of-one loss and the per-row form, bit for bit.
+
+    Bank rows and anchors come from `EXACT_ROWS`, so one-anchor and batched
+    products give the same scores.  Repeated scores, duplicated bank rows
+    (under the same or another label) and anchors that copy a bank row put
+    exact ties into some rows of a batch and not others.
+    """
+    if n_neg_hard + n_neg_rand == 0:
+        n_neg_rand = 1
+    rng = np.random.default_rng(seed)
+    bank = MemoryBank(length, 5, name="b", seed=seed)
+    for i in range(length):
+        if rng.random() < 0.8:
+            bank.update(i, EXACT_ROWS[rng.integers(len(EXACT_ROWS))], int(rng.integers(num_labels)))
+    written = np.flatnonzero(bank.valid)
+    for _ in range(duplicates if written.size else 0):
+        src, dst = int(rng.choice(written)), int(rng.integers(length))
+        label = int(bank.labels[dst]) if bank.valid[dst] else int(rng.integers(num_labels))
+        bank.update(dst, bank.features[src], label)
+        written = np.flatnonzero(bank.valid)
+    anchors = EXACT_ROWS[rng.integers(len(EXACT_ROWS), size=batch)]
+    for b in range(batch):
+        if written.size and rng.random() < 0.4:
+            anchors[b] = 4.0 * bank.features[rng.choice(written)]
+    labels = rng.integers(num_labels, size=batch).tolist()
+    indices = rng.integers(length, size=batch).tolist()
+    cfg = ContrastConfig(tau=tau, n_pos_hard=n_pos_hard, n_neg_hard=n_neg_hard, n_neg_rand=n_neg_rand)
+
+    one_rng, oracle_rng = copy.deepcopy(bank.rng), copy.deepcopy(bank.rng)
+    one_by_one = [sample_contrast(bank, a, y, i, cfg, one_rng) for a, y, i in zip(anchors, labels, indices)]
+    oracle = [reference_mine(bank, a, y, i, cfg, oracle_rng) for a, y, i in zip(anchors, labels, indices)]
+    scores, samples = sample_batch(bank, anchors, labels, indices, cfg, bank.rng)
+
+    assert bank.rng.bit_generator.state == one_rng.bit_generator.state == oracle_rng.bit_generator.state
+    for got, want, mined in zip(samples, one_by_one, oracle):
+        if want is None:
+            assert got is None and mined is None
+            continue
+        fields = ("positives", "hard_negatives", "random_negatives")
+        lists = [getattr(got, f).tolist() for f in fields]
+        assert lists == [getattr(want, f).tolist() for f in fields]
+        assert tuple(lists) == mined
+    for form in LOSS_FORMS:
+        form_cfg = dataclasses.replace(cfg, loss_form=form)
+        losses, skipped = info_nce_batch(Tensor(anchors), scores, samples, bank, form_cfg)
+        for b, sample in enumerate(samples):
+            single, single_skipped = info_nce_batch(
+                Tensor(anchors[b : b + 1]), scores[b : b + 1], [sample], bank, form_cfg
+            )
+            assert losses.data[b] == single.data[0]
+            assert skipped[b] == single_skipped[0]
+            if sample is not None:
+                assert (losses.data[b], skipped[b]) == per_row_loss(scores[b], sample, form_cfg)
 
 
 class TestInstrumentation:

@@ -1,5 +1,7 @@
 """Dataset containers, the synthetic generator's factor structure, file formats."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from stdcl.data import (
     SkeletonDataset,
     SkeletonSequence,
     SyntheticSpec,
+    _round9,
     generate_synthetic,
     load_dataset,
     resample_time,
@@ -198,6 +201,41 @@ class TestFileFormats:
         path.write_text('{"index": 0, "label": 0, "joints": 2, "frames": 2, "coords": [1.0]}\n')
         with pytest.raises(DataFormatError, match="expected 12"):
             load_dataset(str(path))
+
+    def test_round9_matches_python_round_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        odd = rng.integers(-2**20, 2**20, size=2000) * 2 + 1
+        binary_halves = odd * 2.0**-10  # x * 1e9 is exactly n + 0.5
+        decimal_halves = (rng.integers(-10**12, 10**12, size=2000) + 0.5) / 1e9
+        edges = np.array([0.0, -0.0, 5e-10, -5e-10, 1.5e-9, 2.5e-9, 1e-300, -1e-300, 5e-324,
+                          1e300, -1e300, 2.0**52 / 1e9, 2.0**52, 1.7976931348623157e308])
+        values = np.concatenate([
+            edges,
+            *(np.nextafter(h, toward) for h in (binary_halves, decimal_halves) for toward in (-np.inf, np.inf)),
+            binary_halves,
+            decimal_halves,
+            rng.standard_normal(5000) * 10.0 ** rng.integers(-12, 8, size=5000),
+        ])
+        got = _round9(values)
+        want = np.array([round(float(v), 9) for v in values])
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.signbit(_round9(np.array([-0.0, -1e-300, -4e-10]))).all()
+
+    def test_jsonl_bytes_match_per_value_rounding(self, tmp_path):
+        ds = generate_synthetic(small_spec(per_class=4), seed=9)
+        path = tmp_path / "d.jsonl"
+        save_jsonl(ds, str(path))
+        want = "".join(
+            json.dumps({
+                "index": seq.index,
+                "label": seq.label,
+                "joints": seq.joints,
+                "frames": seq.frames,
+                "coords": [round(float(v), 9) for v in seq.coords.reshape(-1)],
+            }) + "\n"
+            for seq in ds
+        )
+        assert path.read_bytes() == want.encode("utf-8")
 
     def test_byte_identical_rewrites(self, tmp_path):
         ds = generate_synthetic(small_spec(), seed=4)

@@ -1,6 +1,10 @@
 """Tensor-core semantics: forward values, backward rules, error contracts."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -375,3 +379,34 @@ def test_reshape_concat_bijection(seed):
     flat = tz.reshape(Tensor(a), (6,))
     np.testing.assert_array_equal(flat.data, a.reshape(-1))
     np.testing.assert_array_equal(tz.reshape(flat, (2, 3)).data, a)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc thresholds")
+def test_temporaries_reuse_heap_pages_whatever_was_freed_before():
+    """Two 2 MiB temporaries allocated and freed per cycle do not fault fresh pages each cycle.
+
+    With glibc's default dynamic thresholds a fresh process maps the first
+    block, raises its trim threshold to 4 MiB, and then hands the heap top
+    back (and faults it in again) on every cycle, about 1,000 faults each.
+    """
+    probe = textwrap.dedent("""
+        import resource
+        import numpy as np
+        import stdcl
+
+        def cycle():
+            a = np.ones(2 << 17)
+            b = np.ones(2 << 17)
+            del a, b
+
+        for _ in range(5):
+            cycle()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            cycle()
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert int(out.stdout) < 2000
