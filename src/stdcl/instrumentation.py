@@ -11,8 +11,8 @@ from collections import Counter
 counters: Counter = Counter()
 
 
-def bump(name: str) -> None:
-    counters[name] += 1
+def bump(name: str, n: int = 1) -> None:
+    counters[name] += n
 
 
 def reset() -> None:

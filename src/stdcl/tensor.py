@@ -6,6 +6,9 @@ topological order.  Broadcasting goes only as far as a leading batch axis
 needs: `matmul` of a 2-d operand against a batched one, `add` of an operand
 shaped like the other's trailing axes, and scalar operands.  No views.
 
+A backward pass writes each gradient once: a tensor's first gradient is
+copied into .grad and later ones are added to it (`Tensor._accumulate`).
+
 Precision (float64 for gradient-check builds, float32 for training runs)
 and checked mode (reject any non-finite intermediate) are process-wide
 switches, not per-tensor properties.
@@ -169,9 +172,22 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add g (broadcastable to this tensor's shape) into .grad.
+
+        The first gradient is written by copy, broadcast and cast to this
+        tensor's dtype, instead of being added to zeros; later ones are added
+        in place.  The copy is needed: g may be a view, or a buffer that
+        another node also receives (`add` hands the same g to both operands).
+        Unlike zeros + g, the copy keeps the sign of a zero: relu's
+        `g * mask` hands over -0.0 where a negative g is masked, and .grad
+        holds -0.0 there.  Only .grad shows it; an SGD step adds it to a
+        +0.0 velocity, which stays +0.0.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Run the tape backward from this scalar, accumulating into .grad."""
@@ -439,23 +455,21 @@ def _validate_axes(x: Tensor, axes, op: str) -> tuple[int, ...]:
 
 def sum_over_axes(x: Tensor, axes) -> Tensor:
     axes = _validate_axes(x, axes, "sum_over_axes")
-    in_shape = x.shape
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(np.broadcast_to(np.expand_dims(g, axes), in_shape))
+            x._accumulate(np.expand_dims(g, axes))  # broadcast by _accumulate
 
     return _make(x.data.sum(axis=axes), (x,), backward, "sum_over_axes")
 
 
 def mean_over_axes(x: Tensor, axes) -> Tensor:
     axes = _validate_axes(x, axes, "mean_over_axes")
-    in_shape = x.shape
-    count = int(np.prod([in_shape[a] for a in axes], dtype=np.int64))
+    count = int(np.prod([x.shape[a] for a in axes], dtype=np.int64))
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(np.broadcast_to(np.expand_dims(g, axes), in_shape) / count)
+            x._accumulate(np.expand_dims(g / count, axes))  # broadcast by _accumulate
 
     return _make(x.data.mean(axis=axes), (x,), backward, "mean_over_axes")
 
@@ -517,6 +531,21 @@ def l2_normalize(v: Tensor) -> Tensor:
     return _make(unit, (v,), backward, "l2_normalize")
 
 
+def _tap_runs(start: int, stride: int, count: int, length: int) -> list[tuple[slice, slice]]:
+    """(output rows, source frames) slices for frames start + t*stride mod length, t < count.
+
+    The frames span less than `length` (count = ceil(frames / stride)), so
+    they wrap at most once: one run for zero padding, where the padded
+    source never wraps, and at most two for circular padding.
+    """
+    first = min(count, -(-(length - start) // stride))
+    runs = [(slice(0, first), slice(start, start + (first - 1) * stride + 1, stride))]
+    if first < count:
+        rest = start + first * stride - length
+        runs.append((slice(first, count), slice(rest, rest + (count - first - 1) * stride + 1, stride)))
+    return runs
+
+
 def temporal_conv(
     x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: str = "zero"
 ) -> Tensor:
@@ -530,7 +559,10 @@ def temporal_conv(
 
     Lowered to one product (im2col): the k taps of every output frame are
     gathered into a (B*J*T', k*C_in) matrix and multiplied by w reshaped to
-    (k*C_in, C_out).
+    (k*C_in, C_out).  The backward scatters the input gradient tap by tap
+    (col2im): tap d of all output frames reads an arithmetic run of source
+    frames, so its gradient `g @ w[d].T` is added through at most two
+    strided slices (see `_tap_runs`) in place of a fancy index.
     """
     if x.data.ndim != 4 or w.data.ndim != 3 or bias.data.ndim != 1:
         raise DimensionError(
@@ -550,8 +582,8 @@ def temporal_conv(
     pad = k // 2
     t_out = -(-frames // stride)
     # idx[t, d]: the frame of `src` that tap d reads for output frame t, in the
-    # zero-padded input or, wrapped, in the input itself.  No frame repeats
-    # within a tap, so the backward can scatter each tap with a plain `+=`.
+    # zero-padded input or, wrapped, in the input itself.  Column d starts at
+    # idx[0, d] and steps by `stride`, so no frame repeats within a tap.
     idx = np.arange(t_out)[:, None] * stride + np.arange(k)[None, :]
     if padding == "zero":
         src = np.zeros((batch, joints, frames + 2 * pad, c_in), dtype=x.data.dtype)
@@ -572,7 +604,9 @@ def temporal_conv(
         if x.requires_grad:
             dsrc = np.zeros_like(src)
             for d in range(k):
-                dsrc[:, :, idx[:, d], :] += g @ w.data[d].T
+                g_d = g @ w.data[d].T
+                for rows, frames_read in _tap_runs(int(idx[0, d]), stride, t_out, src.shape[2]):
+                    dsrc[:, :, frames_read, :] += g_d[:, :, rows, :]
             x._accumulate(dsrc[:, :, pad : pad + frames, :] if padding == "zero" else dsrc)
 
     return _make(out_data.reshape(batch, joints, t_out, c_out), (x, w, bias), backward, "temporal_conv")

@@ -262,8 +262,7 @@ def train_step(
         graph.backward()
         optimizer.step(lr)
     for name, anchors in embeddings.items():
-        for seq, row in zip(batch, anchors.data):
-            banks[name].update(seq.index, row, seq.label)
+        banks[name].update(indices, anchors.data, labels)
 
     return StepRecord(
         epoch=epoch,

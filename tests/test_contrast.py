@@ -154,6 +154,49 @@ class TestBank:
         with pytest.raises(BankIntegrityError, match="invalid slot"):
             bank2.check_integrity()
 
+    @pytest.mark.parametrize("dim", [5, 32, 256])
+    def test_batch_write_equals_one_slot_writes_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        slots = rng.permutation(40)[:8]
+        rows = rng.standard_normal((8, dim)) * rng.choice([1e-3, 1.0, 1e4], size=(8, 1))
+        labels = rng.integers(0, 3, size=8)
+        batched, single = MemoryBank(40, dim, name="b", seed=0), MemoryBank(40, dim, name="b", seed=0)
+        instrumentation.reset()
+        batched.update(slots, rows, labels)
+        assert instrumentation.count("bank_writes") == 8
+        for slot, row, label in zip(slots, rows, labels):
+            single.update(int(slot), row, int(label))
+        assert instrumentation.count("bank_writes") == 16
+        want = np.stack([row / np.linalg.norm(row) for row in rows])  # the per-row rule, bit for bit
+        np.testing.assert_array_equal(batched.features[slots], want)
+        np.testing.assert_array_equal(batched.features, single.features)
+        np.testing.assert_array_equal(batched.labels, single.labels)
+        np.testing.assert_array_equal(batched.valid, single.valid)
+        batched.check_integrity()
+
+    @pytest.mark.parametrize(
+        "slots,rows,labels,error,match",
+        [
+            ([0, 1, 9], np.ones((3, 3)), [0, 0, 0], BankIntegrityError, "slot 9 outside"),
+            ([0, 1, 2], np.ones((3, 3)), [0, -4, 0], BankIntegrityError, r"got -4 \(slot 1\)"),
+            ([0, 3, 2], np.ones((3, 3)), [0, 0, 0], BankIntegrityError, "slot 3 already labeled 1"),
+            ([0, 2, 0], np.ones((3, 3)), [0, 0, 0], BankIntegrityError, "repeat"),
+            ([0, 1, 2], np.array([[1.0, 0, 0], [0, np.inf, 0], [0, 0, 1]]), [0, 0, 0], NumericError, "slot 1"),
+            ([0, 1, 2], np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 0]]), [0, 0, 0], NumericError, "slot 2"),
+            ([0, 1, 2], np.ones((3, 4)), [0, 0, 0], BankIntegrityError, "shape"),
+            ([0, 1, 2], np.ones((2, 3)), [0, 0, 0], BankIntegrityError, "shape"),
+            ([0, 1, 2], np.ones((3, 3)), [0, 0], BankIntegrityError, "labels"),
+        ],
+    )
+    def test_batch_write_checks_every_row_and_writes_none_on_failure(self, slots, rows, labels, error, match):
+        bank = MemoryBank(5, 3, name="b", seed=0)
+        bank.update(3, np.array([1.0, 0.0, 0.0]), 1)
+        before = (bank.features.copy(), bank.labels.copy(), bank.valid.copy())
+        with pytest.raises(error, match=match):
+            bank.update(np.array(slots), rows, np.array(labels))
+        for got, want in zip((bank.features, bank.labels, bank.valid), before):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestSampler:
     def test_matches_oracle_on_random_banks(self):

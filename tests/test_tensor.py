@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import stdcl.tensor as tz
 from stdcl.errors import DimensionError, DomainError, NumericError
 from stdcl.tensor import Tensor
+from stdcl.train import SGD
 
 
 def grad_of(fn, *arrays):
@@ -283,6 +284,99 @@ class TestBackward:
     def test_gather1d_scatter_adds(self):
         (g,) = grad_of(lambda x: tz.sum_all(tz.gather1d(x, [1, 1, 0])), np.array([4.0, 5.0, 6.0]))
         np.testing.assert_array_equal(g, [1.0, 2.0, 0.0])
+
+    def test_first_gradient_is_owned_by_each_operand(self):
+        # add hands the root's own gradient buffer to both operands
+        x, y = Tensor([1.0], requires_grad=True), Tensor([2.0], requires_grad=True)
+        root = tz.add(x, y)
+        root.backward()
+        x.grad[0] = 5.0
+        np.testing.assert_array_equal(y.grad, [1.0])
+        np.testing.assert_array_equal(root.grad, [1.0])
+
+    def test_first_gradient_keeps_the_tensor_dtype(self):
+        with tz.using_precision("float32"):
+            x = Tensor(np.ones(3), requires_grad=True)
+        x._accumulate(np.full(3, 1.0 + 2.0**-40))  # a float64 gradient
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, np.ones(3, dtype=np.float32))
+        x._accumulate(np.ones(3))
+        assert x.grad.dtype == np.float32
+
+    def test_first_gradient_keeps_the_sign_of_a_zero(self):
+        # relu's rule hands over g * mask, -0.0 where a negative g is masked;
+        # the first write copies it (zeros + g would give +0.0).  Only .grad
+        # shows it: SGD adds it to a +0.0 velocity, which stays +0.0.
+        x = Tensor([-1.0, 2.0], requires_grad=True)
+        tz.sum_all(tz.mul(tz.relu(x), Tensor([-3.0, -3.0]))).backward()
+        np.testing.assert_array_equal(x.grad, [0.0, -3.0])
+        assert np.signbit(x.grad[0])
+        opt = SGD({"x": x}, momentum=0.9, weight_decay=0.0)
+        opt.step(0.1)
+        assert not np.signbit(opt.velocity["x"][0]) and x.data[0] == -1.0
+
+    @pytest.mark.parametrize("reduce", [tz.sum_all, lambda t: tz.mean_over_axes(t, (0, 1))])
+    def test_broadcast_view_gradient_becomes_an_owned_writable_array(self, reduce):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        reduce(x).backward()
+        assert x.grad.flags.owndata and x.grad.flags.writeable and x.grad.shape == (2, 3)
+        x.grad += 1.0
+
+
+def _fancy_index_input_grad(g, w, frames, stride, padding):
+    """The input gradient as the fancy-index scatter of the earlier temporal_conv computed it."""
+    k = w.shape[0]
+    pad = k // 2
+    idx = np.arange(g.shape[2])[:, None] * stride + np.arange(k)[None, :]
+    if padding == "zero":
+        dsrc = np.zeros(g.shape[:2] + (frames + 2 * pad, w.shape[1]))
+    else:
+        idx = (idx - pad) % frames
+        dsrc = np.zeros(g.shape[:2] + (frames, w.shape[1]))
+    for d in range(k):
+        dsrc[:, :, idx[:, d], :] += g @ w[d].T
+    return dsrc[:, :, pad : pad + frames, :] if padding == "zero" else dsrc
+
+
+def _loop_conv_grads(x, w, g, stride, padding):
+    """(dx, dw, db) of temporal_conv, one tap of one output frame at a time."""
+    batch, joints, frames, _ = x.shape
+    k = w.shape[0]
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for n in range(batch):
+        for j in range(joints):
+            for t in range(g.shape[2]):
+                for d in range(k):
+                    src = t * stride + d - k // 2
+                    if padding == "circular":
+                        src %= frames
+                    elif not 0 <= src < frames:
+                        continue
+                    dx[n, j, src] += w[d] @ g[n, j, t]
+                    dw[d] += np.outer(x[n, j, src], g[n, j, t])
+    return dx, dw, g.sum(axis=(0, 1, 2))
+
+
+# (padding, stride, frames, k): circular stride 3 splits taps at the wrap, k > frames, frames = 1
+CONV_GRAD_CASES = [
+    ("circular", 3, 7, 5), ("circular", 3, 8, 7), ("circular", 2, 5, 5), ("circular", 1, 6, 3),
+    ("circular", 1, 2, 5), ("circular", 1, 1, 3), ("circular", 3, 1, 7),
+    ("zero", 3, 7, 5), ("zero", 2, 6, 3), ("zero", 1, 2, 7), ("zero", 2, 1, 5), ("zero", 1, 1, 1),
+]
+
+
+@pytest.mark.parametrize("padding,stride,frames,k", CONV_GRAD_CASES)
+def test_temporal_conv_gradients(padding, stride, frames, k):
+    rng = np.random.default_rng(100 * frames + 10 * k + stride)
+    x = Tensor(rng.standard_normal((2, 3, frames, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((k, 4, 5)), requires_grad=True)
+    b = Tensor(rng.standard_normal(5), requires_grad=True)
+    out = tz.temporal_conv(x, w, b, stride=stride, padding=padding)
+    g = rng.standard_normal(out.shape)
+    tz.sum_all(tz.mul(out, Tensor(g))).backward()  # the conv receives exactly g
+    np.testing.assert_array_equal(x.grad, _fancy_index_input_grad(g, w.data, frames, stride, padding))
+    for got, want in zip((x.grad, w.grad, b.grad), _loop_conv_grads(x.data, w.data, g, stride, padding)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestCheckedMode:
