@@ -22,7 +22,9 @@ The class label fuses both factors: ``label = a * num_temporal + b``.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -273,17 +275,83 @@ def _round9(values: np.ndarray) -> np.ndarray:
     return out
 
 
+# Sequences the JSONL writer formats per numpy pass.  A pass holds about 100
+# bytes per coordinate at once, so this bounds the writer's working memory
+# (~1 MB at the `stdcl gen-data` shape of 576 coordinates per sequence).
+JSONL_CHUNK = 16
+_FRAC_DIGITS = 9
+
+
+def _json_arrays(rows: np.ndarray) -> list[str]:
+    """``json.dumps`` of each row of `rows` after ``_round9``, formatted in numpy.
+
+    `repr`, which ``json.dumps`` uses for floats, writes r positionally when
+    1e-4 <= |r| < 1e16.  If also |r| < 1e6 and n / 1e9 == |r| for the
+    integer n = rint(|r| * 1e9), the 9-place decimal n / 10**9 has at most
+    15 significant digits and maps to r.  No other decimal of at most 15
+    significant digits maps to the same double, so that decimal without its
+    trailing zeros is `repr`'s shortest round-trip string.  Such values are
+    written as the digit columns of a byte matrix, one row of columns per
+    value (sign, integer digits, ".", 9 fraction digits, ", "), and a
+    keep-mask drops the sign of a non-negative value, leading integer zeros,
+    trailing fraction zeros but the first, and the ", " after a row's last
+    value.  A row holding any other value (tiny, huge or not finite) goes
+    through ``json.dumps``.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    r = _round9(rows).reshape(rows.shape)
+    a = np.abs(r)
+    with np.errstate(invalid="ignore"):
+        exact = (a == 0.0) | ((a >= 1e-4) & (a < 1e6))
+        n = np.rint(np.where(exact, a, 0.0) * 1e9).astype(np.int64)
+        exact &= n / 1e9 == a
+    whole = (n // 10**_FRAC_DIGITS).astype(np.int32)
+    frac = (n - whole.astype(np.int64) * 10**_FRAC_DIGITS).astype(np.int32)
+    places = len(str(whole.max(initial=0)))  # integer digits this chunk needs
+    template = np.frombuffer(b"-" + b"0" * places + b"." + b"0" * _FRAC_DIGITS + b", ", dtype=np.uint8)
+    point, last = places + 1, places + 1 + _FRAC_DIGITS
+    text = np.tile(template, r.shape).reshape(r.shape + template.shape)
+    keep = np.ones(text.shape, dtype=bool)
+    keep[..., 0] = np.signbit(r)
+    keep[:, -1:, last + 1:] = False  # no ", " after a row's last value
+    nonzero = np.zeros(r.shape, dtype=bool)
+    digits = frac
+    for col in range(last, 0, -1):  # least significant digit first
+        if col == point:
+            digits = whole
+            continue
+        if col < places:  # a digit above the units
+            keep[..., col] = digits != 0  # this digit or a higher one is non-zero
+        rest = digits // 10
+        digit = digits - rest * 10
+        if col > point + 1:
+            nonzero |= digit != 0
+            keep[..., col] = nonzero  # this digit or a lower one is non-zero
+        digit += ord("0")
+        text[..., col] = digit
+        digits = rest
+    ends = np.cumsum([np.count_nonzero(k) for k in keep]).tolist()
+    body = text[keep]
+    del text, keep  # before decoding, to keep the pass's peak memory down
+    body = str(body, "ascii")
+    out, start = [], 0
+    for row, ok, end in zip(r, exact.all(axis=1).tolist(), ends):
+        out.append(f"[{body[start:end]}]" if ok else json.dumps(row.tolist()))
+        start = end
+    return out
+
+
 def save_jsonl(ds: SkeletonDataset, path: str) -> None:
+    seqs = ds.sequences
     with open(path, "w", encoding="utf-8") as f:
-        for seq in ds:
-            record = {
-                "index": seq.index,
-                "label": seq.label,
-                "joints": seq.joints,
-                "frames": seq.frames,
-                "coords": _round9(seq.coords).tolist(),
-            }
-            f.write(json.dumps(record) + "\n")
+        for at in range(0, len(seqs), JSONL_CHUNK):
+            chunk = seqs[at:at + JSONL_CHUNK]
+            arrays = _json_arrays(np.stack([seq.coords.reshape(-1) for seq in chunk]))
+            f.write("".join(
+                f'{{"index": {seq.index:d}, "label": {seq.label:d}, "joints": {seq.joints:d}, '
+                f'"frames": {seq.frames:d}, "coords": {coords}}}\n'
+                for seq, coords in zip(chunk, arrays)
+            ))
 
 
 def _load_jsonl(path: str) -> SkeletonDataset:
@@ -367,14 +435,24 @@ def _load_binary(path: str) -> SkeletonDataset:
 
 
 def save_dataset(ds: SkeletonDataset, path: str, fmt: str | None = None) -> None:
+    """Write `ds` to `path` as a whole: into a temp file beside it, then ``os.replace``.
+
+    If the write fails, the temp file is removed and a file already at
+    `path` is left as it was.
+    """
     if fmt is None:
         fmt = "binary" if path.endswith((".skl", ".bin")) else "jsonl"
-    if fmt == "jsonl":
-        save_jsonl(ds, path)
-    elif fmt == "binary":
-        save_binary(ds, path)
-    else:
+    writers = {"jsonl": save_jsonl, "binary": save_binary}
+    if fmt not in writers:
         raise ConfigError(f"unknown dataset format {fmt!r} (expected 'jsonl' or 'binary')")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        writers[fmt](ds, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_dataset(path: str, frames: int | None = None) -> SkeletonDataset:

@@ -1,21 +1,27 @@
 """Dataset containers, the synthetic generator's factor structure, file formats."""
 
+import builtins
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stdcl import data
 from stdcl.data import (
+    JSONL_CHUNK,
     SkeletonDataset,
     SkeletonSequence,
     SyntheticSpec,
+    _json_arrays,
     _round9,
     generate_synthetic,
     load_dataset,
     resample_time,
     save_binary,
+    save_dataset,
     save_jsonl,
 )
 from stdcl.errors import ConfigError, DataFormatError
@@ -237,6 +243,62 @@ class TestFileFormats:
         )
         assert path.read_bytes() == want.encode("utf-8")
 
+    def test_jsonl_bytes_match_across_writer_chunks(self, tmp_path):
+        ds = generate_synthetic(small_spec(per_class=JSONL_CHUNK // 2 + 1), seed=9)
+        assert len(ds) > 2 * JSONL_CHUNK and len(ds) % JSONL_CHUNK
+        # values the numpy formatter hands back to json.dumps (3e-5, -2e6) and
+        # one whose rounding _round9 recomputes with round()
+        planted = (3e-5, -2e6, 0.4098311425)
+        for i in (0, len(ds) // 2, len(ds) - 1):
+            ds[i].coords[0, 1, :] = planted
+        path = tmp_path / "d.jsonl"
+        save_jsonl(ds, str(path))
+        want = "".join(
+            json.dumps({
+                "index": seq.index,
+                "label": seq.label,
+                "joints": seq.joints,
+                "frames": seq.frames,
+                "coords": [round(float(v), 9) for v in seq.coords.reshape(-1)],
+            }) + "\n"
+            for seq in ds
+        )
+        assert path.read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("name", ["d.jsonl", "d.skl"])
+    def test_failed_save_leaves_existing_file(self, tmp_path, monkeypatch, name):
+        ds = generate_synthetic(small_spec(per_class=JSONL_CHUNK // 2 + 1), seed=3)
+        path = tmp_path / name
+        path.write_bytes(b"old contents")
+
+        class FailingFile:
+            """Passes the first write to the real file and fails every later one."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, chunk):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError("disk full")
+                return self.f.write(chunk)
+
+        with monkeypatch.context() as m:
+            m.setattr(data, "open", lambda *a, **kw: FailingFile(builtins.open(*a, **kw)), raising=False)
+            with pytest.raises(OSError, match="disk full"):
+                save_dataset(ds, str(path))
+        assert path.read_bytes() == b"old contents"
+        assert os.listdir(tmp_path) == [name]
+        save_dataset(ds, str(path))
+        assert len(load_dataset(str(path))) == len(ds)
+        assert os.listdir(tmp_path) == [name]
+
     def test_byte_identical_rewrites(self, tmp_path):
         ds = generate_synthetic(small_spec(), seed=4)
         p1, p2 = str(tmp_path / "1.jsonl"), str(tmp_path / "2.jsonl")
@@ -272,3 +334,33 @@ def test_generator_invariants(joints, frames, num_spatial, num_temporal, seed):
     labels = ds.labels()
     assert labels.min() >= 0 and labels.max() < spec.num_classes
     assert np.isfinite(np.stack([s.coords for s in ds])).all()
+
+
+def _ulps(x: float, k: int) -> float:
+    """The double `k` steps from the positive double `x`."""
+    return float((np.float64(x).view(np.int64) + k).view(np.float64))
+
+
+_ROUND9_EDGES = [0.0, -0.0, 5e-10, -5e-10, 1.5e-9, 2.5e-9, 1e-300, -1e-300, 5e-324, 1e300, -1e300,
+                 2.0**52 / 1e9, 2.0**52, 1.7976931348623157e308]
+_steps = st.integers(-3, 3)
+_sign = st.sampled_from([1.0, -1.0])
+_coordinate = st.one_of(
+    st.sampled_from(_ROUND9_EDGES),
+    # the _round9 test's binary and decimal half-way points, and their neighbours
+    st.builds(lambda k, d, s: s * _ulps((2 * k + 1) * 2.0**-10, d), st.integers(0, 2**20), _steps, _sign),
+    st.builds(lambda k, d, s: s * _ulps((k + 0.5) / 1e9, d), st.integers(0, 10**12), _steps, _sign),
+    # the edges of the numpy formatter's domain, and of _round9's
+    st.builds(lambda x, d, s: s * _ulps(x, d), st.sampled_from([1e-4, 5e-5, 1e6, 1e7, 2.0**52 / 1e9]), _steps, _sign),
+    st.builds(lambda m, s: s * float(np.int64(m).view(np.float64)), st.integers(1, 2**52 - 1), _sign),  # subnormals
+    st.sampled_from([1e300, -1e300]),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-12, 7)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_coordinate, min_size=1, max_size=12))
+def test_json_arrays_match_json_dumps(values):
+    one_row = np.array([values])
+    assert _json_arrays(one_row) == [json.dumps([round(float(v), 9) for v in values])]
+    assert _json_arrays(one_row.T) == [json.dumps([round(float(v), 9)]) for v in values]
