@@ -18,11 +18,12 @@ identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 from .tensor import Tensor
 
 MAGIC = b"CKPT"
@@ -50,8 +51,11 @@ def save_checkpoint(path: str, arrays: dict, meta: dict) -> None:
 
 def load_checkpoint(path: str) -> tuple[dict, dict]:
     """Returns (arrays, meta); arrays come back as float64 ndarrays."""
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror}") from None
 
     def take(fmt: str, offset: int):
         size = struct.calcsize(fmt)
@@ -65,32 +69,32 @@ def load_checkpoint(path: str) -> tuple[dict, dict]:
     if version != VERSION:
         raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
     (meta_len,), offset = take("<I", offset)
-    if offset + meta_len > len(blob):
-        raise DataFormatError(f"{path}: truncated checkpoint")
+    (meta_blob,), offset = take(f"<{meta_len}s", offset)
     try:
-        meta = json.loads(blob[offset : offset + meta_len].decode("utf-8"))
+        meta = json.loads(meta_blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{path}: corrupt checkpoint metadata: {exc}") from exc
-    offset += meta_len
     (count,), offset = take("<I", offset)
     arrays = {}
     for _ in range(count):
         (name_len,), offset = take("<H", offset)
-        if offset + name_len > len(blob):
-            raise DataFormatError(f"{path}: truncated checkpoint")
+        (name_blob,), offset = take(f"<{name_len}s", offset)
         try:
-            name = blob[offset : offset + name_len].decode("utf-8")
+            name = name_blob.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{path}: array name is not UTF-8: {exc}") from None
-        offset += name_len
         (ndim,), offset = take("<B", offset)
         dims, offset = take(f"<{ndim}I", offset)
-        size = int(np.prod(dims, dtype=np.int64)) if ndim else 1
+        size = math.prod(dims)  # exact: a fixed-width product could wrap and pass the length check
         nbytes = size * 4
         if offset + nbytes > len(blob):
             raise DataFormatError(f"{path}: truncated checkpoint data for {name!r}")
-        data = np.frombuffer(blob, dtype="<f4", count=size, offset=offset).reshape(dims)
-        arrays[name] = data.astype(np.float64)
+        try:  # an empty entry can still claim more axes or elements than numpy allows
+            data = np.frombuffer(blob, dtype="<f4", count=size, offset=offset).reshape(dims)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: array {name!r} has an impossible shape {dims}: {exc}") from None
+        with np.errstate(invalid="ignore"):  # a signalling NaN payload widens to a quiet NaN
+            arrays[name] = data.astype(np.float64)
         offset += nbytes
     if offset != len(blob):
         raise DataFormatError(f"{path}: {len(blob) - offset} trailing bytes")

@@ -46,6 +46,17 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+# gen-data flag (as recorded in its manifest) -> SyntheticSpec field, whose default the flag takes
+_GEN_DATA_FLAGS = {
+    "joints": "joints",
+    "frames": "frames",
+    "spatial_motifs": "num_spatial",
+    "temporal_motifs": "num_temporal",
+    "per_class": "per_class",
+    "noise_std": "noise_std",
+    "motif_scale": "motif_scale",
+}
+
 
 def _from_sections(cls, cfg: dict, sections: tuple, **extra):
     """Build dataclass `cls` from the CONFIG_SCHEMA keys of `sections`; key suffixes are its fields."""
@@ -67,29 +78,13 @@ def _ensure_parent(path: str) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    spec = SyntheticSpec(
-        joints=args.joints,
-        frames=args.frames,
-        num_spatial=args.spatial_motifs,
-        num_temporal=args.temporal_motifs,
-        per_class=args.per_class,
-        noise_std=args.noise_std,
-        motif_scale=args.motif_scale,
-    )
+    spec = SyntheticSpec(**{name: getattr(args, flag) for flag, name in _GEN_DATA_FLAGS.items()})
     dataset = generate_synthetic(spec, seed=args.seed)
     _ensure_parent(args.output)
     save_dataset(dataset, args.output, fmt=args.format)
     manifest = RunManifest(
         command="gen-data",
-        config={
-            "joints": spec.joints,
-            "frames": spec.frames,
-            "spatial_motifs": spec.num_spatial,
-            "temporal_motifs": spec.num_temporal,
-            "per_class": spec.per_class,
-            "noise_std": spec.noise_std,
-            "motif_scale": spec.motif_scale,
-        },
+        config={flag: getattr(spec, name) for flag, name in _GEN_DATA_FLAGS.items()},
         seed=args.seed,
         artifacts={"dataset": args.output},
     )
@@ -240,13 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-data", help="generate a synthetic two-factor dataset")
-    gen.add_argument("--joints", type=int, default=8)
-    gen.add_argument("--frames", type=int, default=24)
-    gen.add_argument("--spatial-motifs", type=int, default=4)
-    gen.add_argument("--temporal-motifs", type=int, default=4)
-    gen.add_argument("--per-class", type=int, default=10)
-    gen.add_argument("--noise-std", type=float, default=0.1)
-    gen.add_argument("--motif-scale", type=float, default=0.5)
+    for flag, name in _GEN_DATA_FLAGS.items():
+        default = getattr(SyntheticSpec, name)
+        gen.add_argument(f"--{flag.replace('_', '-')}", type=type(default), default=default)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--format", choices=["jsonl", "binary"], default=None,
                      help="default: inferred from the output extension")

@@ -14,9 +14,11 @@ bit-identically from the manifest alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
+from .encoder import EncoderConfig
 from .errors import ConfigError
+from .train import TrainConfig
 
 MANIFEST_VERSION = 1
 
@@ -40,38 +42,30 @@ def _parse_int_tuple(raw: str) -> tuple:
     return tuple(int(part.strip()) for part in token.split(","))
 
 
+# dataclass field annotation -> converter of its config key
+_CONVERTERS = {"int": int, "float": float, "str": str, "bool": _parse_bool, "tuple": _parse_int_tuple}
+
+# TrainConfig fields that config files spell contrast.<field>; the others are train.<field>
+_CONTRAST_FIELDS = ("tau", "n_pos_hard", "n_neg_hard", "n_neg_rand")
+
+
+def _field_entries(cls, section_of) -> dict:
+    """`<section>.<field>` -> (converter, default) for each field of dataclass `cls` that has a default."""
+    return {
+        f"{section_of(f.name)}.{f.name}": (_CONVERTERS[f.type], f.default)
+        for f in fields(cls)
+        if f.default is not MISSING
+    }
+
+
 # key -> (converter, default).  Converters raise ValueError on bad input.
+# The encoder.*, train.* and contrast.* entries come from the config dataclasses.
 CONFIG_SCHEMA: dict = {
     "data.path": (str, ""),
     "data.eval_path": (str, ""),
     "data.frames": (int, 0),  # 0 = keep native frame count, else resample
-    "encoder.channels": (int, 32),
-    "encoder.temporal_stride": (int, 2),
-    "encoder.hidden": (_parse_int_tuple, (16,)),
-    "encoder.kernel_size": (int, 5),
-    "encoder.joint_mixing": (str, "fixed"),
-    "encoder.temporal_padding": (str, "zero"),
-    "train.epochs": (int, 20),
-    "train.batch_size": (int, 8),
-    "train.learning_rate": (float, 0.05),
-    "train.momentum": (float, 0.9),
-    "train.weight_decay": (float, 1e-4),
-    "train.seed": (int, 0),
-    "train.framework_enabled": (_parse_bool, True),
-    "train.lambda_ce": (float, 1.0),
-    "train.lambda_spatial": (float, 1.0),
-    "train.lambda_temporal": (float, 1.0),
-    "train.loss_form": (str, "exponentiated"),
-    "train.lr_decay_epochs": (int, 0),
-    "train.lr_decay_gamma": (float, 0.1),
-    "train.checkpoint_every": (int, 0),
-    "train.eval_every": (int, 1),
-    "train.embed_dim": (int, 256),
-    "train.reduction": (int, 8),
-    "contrast.tau": (float, 0.8),
-    "contrast.n_pos_hard": (int, 128),
-    "contrast.n_neg_hard": (int, 512),
-    "contrast.n_neg_rand": (int, 512),
+    **_field_entries(EncoderConfig, lambda name: "encoder"),
+    **_field_entries(TrainConfig, lambda name: "contrast" if name in _CONTRAST_FIELDS else "train"),
     "numeric.checked": (_parse_bool, True),
     "numeric.precision": (str, "float64"),
     "out.dir": (str, "runs/default"),
@@ -172,16 +166,10 @@ class RunManifest:
             "format_version": self.format_version,
             "command": self.command,
             "seed": self.seed,
-            "config": {k: self._jsonable(v) for k, v in sorted(self.config.items())},
-            "artifacts": dict(sorted(self.artifacts.items())),
+            "config": self.config,
+            "artifacts": self.artifacts,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    @staticmethod
-    def _jsonable(value):
-        if isinstance(value, tuple):
-            return list(value)
-        return value
 
 
 def write_manifest(path: str, manifest: RunManifest) -> None:

@@ -456,8 +456,11 @@ def save_dataset(ds: SkeletonDataset, path: str, fmt: str | None = None) -> None
 
 
 def load_dataset(path: str, frames: int | None = None) -> SkeletonDataset:
-    with open(path, "rb") as f:
-        magic = f.read(4)
+    try:
+        with open(path, "rb") as f:
+            magic = f.read(4)
+    except OSError as exc:
+        raise ConfigError(f"cannot read dataset {path}: {exc.strerror}") from None
     ds = _load_binary(path) if magic == BINARY_MAGIC else _load_jsonl(path)
     if frames is not None:
         ds = resample_dataset(ds, frames)

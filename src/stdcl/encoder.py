@@ -25,18 +25,17 @@ import numpy as np
 from . import tensor as tz
 from .errors import ConfigError, DimensionError
 from .rng import seeded_rng
-from .tensor import Tensor
+from .tensor import PADDING_MODES, Tensor
 
 
 MIXING_MODES = ("fixed", "learned")
-PADDING_MODES = ("zero", "circular")
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
     joints: int
     frames: int  # input frames
-    channels: int  # output feature channels
+    channels: int = 32  # output feature channels
     temporal_stride: int = 2
     hidden: tuple = (16,)
     kernel_size: int = 5

@@ -40,6 +40,8 @@ _relu_gap_trace: list | None = None
 
 NORM_EPSILON = 1e-12
 
+PADDING_MODES = ("zero", "circular")  # temporal_conv's padding
+
 # glibc raises its mmap and trim thresholds as the process frees large
 # blocks, so whether a step's temporaries are reused from the heap or mapped,
 # faulted in and returned on every step depends on what ran before.  Fixed
@@ -67,10 +69,6 @@ def set_precision(name: str) -> None:
     _precision = name
 
 
-def get_precision() -> str:
-    return _precision
-
-
 def active_dtype() -> np.dtype:
     return np.dtype(_DTYPES[_precision])
 
@@ -92,16 +90,6 @@ def using_precision(name: str):
         yield
     finally:
         set_precision(previous)
-
-
-@contextmanager
-def using_checked(flag: bool):
-    previous = _checked
-    set_checked(flag)
-    try:
-        yield
-    finally:
-        set_checked(previous)
 
 
 @contextmanager
@@ -205,28 +193,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; scalar operands mean python floats, not 0-d tensors.
-    def __add__(self, other):
-        return add_scalar(self, other) if isinstance(other, (int, float)) else add(self, other)
-
-    def __radd__(self, other):
-        return add_scalar(self, other)
-
-    def __sub__(self, other):
-        return add_scalar(self, -other) if isinstance(other, (int, float)) else sub(self, other)
-
-    def __mul__(self, other):
-        return scalar_mul(self, other) if isinstance(other, (int, float)) else mul(self, other)
-
-    def __rmul__(self, other):
-        return scalar_mul(self, other)
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -576,8 +542,8 @@ def temporal_conv(
     stride = int(stride)
     if stride < 1:
         raise DimensionError(f"temporal_conv: stride must be >= 1, got {stride}")
-    if padding not in ("zero", "circular"):
-        raise DimensionError(f"temporal_conv: padding must be 'zero' or 'circular', got {padding!r}")
+    if padding not in PADDING_MODES:
+        raise DimensionError(f"temporal_conv: padding must be one of {PADDING_MODES}, got {padding!r}")
     batch, joints, frames, _ = x.shape
     pad = k // 2
     t_out = -(-frames // stride)

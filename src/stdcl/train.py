@@ -58,27 +58,29 @@ METRICS_HEADER = [
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings; these defaults are the `train.*` and `contrast.*` config defaults."""
+
     epochs: int = 20
     batch_size: int = 8
     learning_rate: float = 0.05
     momentum: float = 0.9
     weight_decay: float = 1e-4
     seed: int = 0
-    tau: float = 0.8
+    framework_enabled: bool = True
     lambda_ce: float = 1.0
     lambda_spatial: float = 1.0
     lambda_temporal: float = 1.0
-    framework_enabled: bool = True
-    loss_form: str = "exponentiated"
+    loss_form: str = ContrastConfig.loss_form
     lr_decay_epochs: int = 0  # 0 disables the step schedule
     lr_decay_gamma: float = 0.1
-    n_pos_hard: int = 128
-    n_neg_hard: int = 512
-    n_neg_rand: int = 512
-    embed_dim: int = 256
-    reduction: int = 8
     checkpoint_every: int = 0  # epochs between periodic checkpoints; 0 = final only
     eval_every: int = 1  # epochs between eval rows; 0 disables
+    embed_dim: int = 256
+    reduction: int = 8
+    tau: float = ContrastConfig.tau
+    n_pos_hard: int = ContrastConfig.n_pos_hard
+    n_neg_hard: int = ContrastConfig.n_neg_hard
+    n_neg_rand: int = ContrastConfig.n_neg_rand
 
     def __post_init__(self):
         if self.epochs < 0:

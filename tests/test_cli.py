@@ -145,6 +145,12 @@ class TestTrain:
         assert run_cli("train", "-c", cfg) == cli.EXIT_USAGE
         assert "dataset file not found" in capsys.readouterr().err
 
+    def test_directory_as_dataset_is_usage_error(self, workdir, capsys):
+        cfg = workdir / "dir-data.txt"
+        cfg.write_text(f"data.path = {workdir}\n")
+        assert run_cli("train", "-c", cfg) == cli.EXIT_USAGE
+        assert f"cannot read dataset {workdir}" in capsys.readouterr().err
+
     def test_unset_dataset_path_is_usage_error(self, workdir, capsys):
         cfg = workdir / "no-data.txt"
         cfg.write_text("train.epochs = 1\n")
@@ -230,6 +236,12 @@ class TestEval:
         bad.write_bytes(b"JUNKJUNKJUNK")
         assert run_cli("eval", bad, "-d", dataset_path) == cli.EXIT_DATA
         assert "magic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["missing.ckpt", "."])
+    def test_unreadable_checkpoint_is_usage_error(self, workdir, dataset_path, capsys, name):
+        path = workdir / name
+        assert run_cli("eval", path, "-d", dataset_path) == cli.EXIT_USAGE
+        assert f"cannot read checkpoint {path}" in capsys.readouterr().err
 
     def test_class_count_mismatch_is_data_error(self, workdir, trained_run, capsys):
         wide = workdir / "wide.jsonl"

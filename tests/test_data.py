@@ -301,14 +301,14 @@ class TestFileFormats:
 
     def test_byte_identical_rewrites(self, tmp_path):
         ds = generate_synthetic(small_spec(), seed=4)
-        p1, p2 = str(tmp_path / "1.jsonl"), str(tmp_path / "2.jsonl")
-        save_jsonl(ds, p1)
-        save_jsonl(ds, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
-        b1, b2 = str(tmp_path / "1.skl"), str(tmp_path / "2.skl")
-        save_binary(ds, b1)
-        save_binary(ds, b2)
-        assert open(b1, "rb").read() == open(b2, "rb").read()
+        p1, p2 = tmp_path / "1.jsonl", tmp_path / "2.jsonl"
+        save_jsonl(ds, str(p1))
+        save_jsonl(ds, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+        b1, b2 = tmp_path / "1.skl", tmp_path / "2.skl"
+        save_binary(ds, str(b1))
+        save_binary(ds, str(b2))
+        assert b1.read_bytes() == b2.read_bytes()
 
 
 @settings(max_examples=20, deadline=None)

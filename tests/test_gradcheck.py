@@ -89,4 +89,4 @@ def test_checks_run_in_float64_regardless_of_global_precision():
     with tz.using_precision("float32"):
         results = gradcheck.run_op_checks(ops=["exp"], trials=2, seed=5)
         assert results[0].passed
-    assert tz.get_precision() == "float64"
+    assert tz.active_dtype() == np.float64

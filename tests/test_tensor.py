@@ -391,10 +391,10 @@ class TestCheckedMode:
         with pytest.raises(NumericError, match="exp"):
             tz.exp(big)
 
-    def test_unchecked_mode_allows(self):
-        with tz.using_checked(False):
-            t = Tensor(np.array([np.nan]))
-            assert np.isnan(t.data).all()
+    def test_unchecked_mode_allows(self, monkeypatch):
+        monkeypatch.setattr(tz, "_checked", False)
+        t = Tensor(np.array([np.nan]))
+        assert np.isnan(t.data).all()
 
     def test_precision_switch(self):
         with tz.using_precision("float32"):
@@ -406,7 +406,7 @@ class TestNoGrad:
     def test_ops_record_no_tape(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         with tz.no_grad():
-            out = tz.sum_all(tz.relu(x * 3.0))
+            out = tz.sum_all(tz.relu(tz.scalar_mul(x, 3.0)))
         assert not out.requires_grad
         assert out._parents == () and out._backward_fn is None and out._op is None
         assert out.item() == 3.0
@@ -424,23 +424,11 @@ class TestNoGrad:
         x = Tensor(np.ones(2), requires_grad=True)
         with pytest.raises(DomainError):
             with tz.no_grad():
-                tz.log(x * -1.0)
+                tz.log(tz.scalar_mul(x, -1.0))
         out = tz.sum_all(tz.relu(x))
         assert out.requires_grad
         out.backward()
         np.testing.assert_array_equal(x.grad, [1.0, 1.0])
-
-
-class TestOperatorSugar:
-    def test_python_operators(self):
-        a = Tensor(np.array([1.0, 2.0]))
-        b = Tensor(np.array([3.0, 4.0]))
-        np.testing.assert_array_equal((a + b).data, [4.0, 6.0])
-        np.testing.assert_array_equal((a - b).data, [-2.0, -2.0])
-        np.testing.assert_array_equal((a * b).data, [3.0, 8.0])
-        np.testing.assert_array_equal((-a).data, [-1.0, -2.0])
-        np.testing.assert_array_equal((a * 2.0).data, [2.0, 4.0])
-        np.testing.assert_array_equal((a + 1.0).data, [2.0, 3.0])
 
 
 @settings(max_examples=50, deadline=None)

@@ -407,9 +407,9 @@ class TestEmbeddingsAndCheckpoint:
         cfg = tiny_train()
         model = build_model(tiny_encoder(), ds.num_classes, cfg)
         report = embedding_report(model, ds)
-        path = str(tmp_path / "emb.tsv")
-        export_embeddings_tsv(report, path)
-        lines = open(path).read().splitlines()
+        path = tmp_path / "emb.tsv"
+        export_embeddings_tsv(report, str(path))
+        lines = path.read_text().splitlines()
         assert len(lines) == len(ds) + 1
         header = lines[0].split("\t")
         assert header[:2] == ["index", "label"]
