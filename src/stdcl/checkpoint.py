@@ -23,6 +23,7 @@ import struct
 
 import numpy as np
 
+from .atomic import atomic_path
 from .errors import ConfigError, DataFormatError
 from .tensor import Tensor
 
@@ -45,7 +46,7 @@ def save_checkpoint(path: str, arrays: dict, meta: dict) -> None:
         payload.append(struct.pack("<B", data.ndim))
         payload.append(struct.pack(f"<{data.ndim}I", *data.shape))
         payload.append(data.tobytes(order="C"))
-    with open(path, "wb") as f:
+    with atomic_path(path) as tmp, open(tmp, "wb") as f:
         f.write(b"".join(payload))
 
 

@@ -13,6 +13,7 @@ import os
 import sys
 
 from . import tensor as tz
+from .atomic import atomic_path
 from .config import (
     CONFIG_SCHEMA,
     RunManifest,
@@ -180,7 +181,7 @@ def cmd_eval(args) -> int:
         os.path.dirname(os.path.abspath(args.checkpoint)), "eval.csv"
     )
     _ensure_parent(report_path)
-    with open(report_path, "w", encoding="utf-8") as f:
+    with atomic_path(report_path) as tmp, open(tmp, "w", encoding="utf-8") as f:
         f.write("metric,value\n")
         f.write(f"accuracy,{report.accuracy:.10g}\n")
         f.write(f"count,{report.count}\n")

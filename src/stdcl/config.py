@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, field, fields
 
+from .atomic import atomic_path
 from .encoder import EncoderConfig
 from .errors import ConfigError
-from .train import TrainConfig
+from .train import TrainConfig, _is_int
 
 MANIFEST_VERSION = 1
 
@@ -71,10 +72,6 @@ CONFIG_SCHEMA: dict = {
     "out.dir": (str, "runs/default"),
     "out.stem": (str, "model"),
 }
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # the JSON value a train manifest must hold for each CONFIG_SCHEMA converter
@@ -173,7 +170,7 @@ class RunManifest:
 
 
 def write_manifest(path: str, manifest: RunManifest) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
         f.write(manifest.to_json())
 
 

@@ -22,14 +22,13 @@ The class label fuses both factors: ``label = a * num_temporal + b``.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_path
 from .errors import ConfigError, DataFormatError, NumericError
 from .rng import seeded_rng
 
@@ -445,14 +444,8 @@ def save_dataset(ds: SkeletonDataset, path: str, fmt: str | None = None) -> None
     writers = {"jsonl": save_jsonl, "binary": save_binary}
     if fmt not in writers:
         raise ConfigError(f"unknown dataset format {fmt!r} (expected 'jsonl' or 'binary')")
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
+    with atomic_path(path) as tmp:
         writers[fmt](ds, tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
 
 
 def load_dataset(path: str, frames: int | None = None) -> SkeletonDataset:

@@ -51,9 +51,8 @@ class EmbeddingPair:
     temporal: Tensor  # (batch, dim)
 
 
-def init_decoupler(
-    joints: int, out_frames: int, channels: int, reduction: int, dim: int, seed: int
-) -> DecouplerParams:
+def decoupler_shapes(joints: int, out_frames: int, channels: int, reduction: int, dim: int) -> dict[str, tuple]:
+    """Name -> shape of each matrix `init_decoupler` builds, allocating nothing."""
     if reduction < 1:
         raise ConfigError(f"reduction must be positive, got {reduction}")
     if channels % reduction != 0:
@@ -61,20 +60,24 @@ def init_decoupler(
     if dim < 1:
         raise ConfigError(f"embedding dim must be positive, got {dim}")
     reduced = channels // reduction
+    return {
+        "spatial_reduce": (channels, reduced),
+        "temporal_reduce": (channels, reduced),
+        "spatial_embed": (joints * reduced, dim),
+        "temporal_embed": (out_frames * reduced, dim),
+    }
+
+
+def init_decoupler(
+    joints: int, out_frames: int, channels: int, reduction: int, dim: int, seed: int
+) -> DecouplerParams:
+    """Uniform(+-sqrt(1/fan_in)) matrices, fan_in being a matrix's row count, drawn in `decoupler_shapes` order."""
     rng = seeded_rng(seed, "init/decouple")
-
-    def uniform(shape, fan_in):
-        bound = np.sqrt(1.0 / fan_in)
-        return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
-
-    return DecouplerParams(
-        spatial_reduce=uniform((channels, reduced), channels),
-        temporal_reduce=uniform((channels, reduced), channels),
-        spatial_embed=uniform((joints * reduced, dim), joints * reduced),
-        temporal_embed=uniform((out_frames * reduced, dim), out_frames * reduced),
-        reduction=reduction,
-        dim=dim,
-    )
+    named = {}
+    for name, shape in decoupler_shapes(joints, out_frames, channels, reduction, dim).items():
+        bound = np.sqrt(1.0 / shape[0])
+        named[name] = Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
+    return DecouplerParams(**named, reduction=reduction, dim=dim)
 
 
 def decouple(feature_map: Tensor, params: DecouplerParams) -> EmbeddingPair:

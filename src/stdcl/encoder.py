@@ -18,7 +18,9 @@ checkpointing and gradient checking can treat them uniformly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,29 +86,51 @@ def mixing_matrix(joints: int, self_weight: float = 0.5) -> np.ndarray:
     return self_weight * eye + (1.0 - self_weight) / joints * np.ones((joints, joints))
 
 
-def init_params(cfg: EncoderConfig, num_classes: int, seed: int) -> dict[str, Tensor]:
-    """Uniform(+-sqrt(1/fan_in)) weights, zero biases."""
+@lru_cache(maxsize=16)
+def _fixed_mixing(joints: int, dtype: np.dtype) -> Tensor:
+    """The constant mixing_matrix(joints) as a tensor of `dtype`, built once and shared by every encode."""
+    with tz.using_precision(dtype.name):
+        mix = Tensor(mixing_matrix(joints))
+    mix.data.flags.writeable = False
+    return mix
+
+
+def param_shapes(cfg: EncoderConfig, num_classes: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of each parameter `init_params` builds, allocating nothing."""
     if num_classes < 2:
         raise ConfigError(f"need at least 2 classes, got {num_classes}")
-    params: dict[str, Tensor] = {}
+    shapes: dict[str, tuple[int, ...]] = {}
     plan = cfg.channel_plan
     for i, (cin, cout) in enumerate(zip(plan[:-1], plan[1:])):
-        rng = seeded_rng(seed, f"init/encoder/layer{i}")
-        bound = np.sqrt(1.0 / (cfg.kernel_size * cin))
-        params[f"conv{i}.w"] = Tensor(
-            rng.uniform(-bound, bound, (cfg.kernel_size, cin, cout)), requires_grad=True
-        )
-        params[f"conv{i}.b"] = Tensor(np.zeros(cout), requires_grad=True)
+        shapes[f"conv{i}.w"] = (cfg.kernel_size, cin, cout)
+        shapes[f"conv{i}.b"] = (cout,)
         if cfg.joint_mixing == "learned":
-            mix_bound = np.sqrt(1.0 / cfg.joints)
-            params[f"mix{i}"] = Tensor(
-                rng.uniform(-mix_bound, mix_bound, (cfg.joints, cfg.joints)), requires_grad=True
-            )
-    head_rng = seeded_rng(seed, "init/encoder/head")
-    head_bound = np.sqrt(1.0 / cfg.channels)
-    params["head.w"] = Tensor(
-        head_rng.uniform(-head_bound, head_bound, (cfg.channels, num_classes)), requires_grad=True
-    )
+            shapes[f"mix{i}"] = (cfg.joints, cfg.joints)
+    shapes["head.w"] = (cfg.channels, num_classes)
+    shapes["head.b"] = (num_classes,)
+    return shapes
+
+
+def init_params(cfg: EncoderConfig, num_classes: int, seed: int) -> dict[str, Tensor]:
+    """Uniform(+-sqrt(1/fan_in)) weights, zero biases.
+
+    A weight's fan_in is the product of all its axes but the last.  Layer
+    i's conv and mixing weights draw, in that order, from one stream.
+    """
+    shapes = param_shapes(cfg, num_classes)
+
+    def uniform(rng, name):
+        bound = np.sqrt(1.0 / math.prod(shapes[name][:-1]))
+        return Tensor(rng.uniform(-bound, bound, shapes[name]), requires_grad=True)
+
+    params: dict[str, Tensor] = {}
+    for i in range(len(cfg.channel_plan) - 1):
+        rng = seeded_rng(seed, f"init/encoder/layer{i}")
+        params[f"conv{i}.w"] = uniform(rng, f"conv{i}.w")
+        params[f"conv{i}.b"] = Tensor(np.zeros(shapes[f"conv{i}.b"]), requires_grad=True)
+        if cfg.joint_mixing == "learned":
+            params[f"mix{i}"] = uniform(rng, f"mix{i}")
+    params["head.w"] = uniform(seeded_rng(seed, "init/encoder/head"), "head.w")
     params["head.b"] = Tensor(np.zeros(num_classes), requires_grad=True)
     return params
 
@@ -122,7 +146,7 @@ def encode(params: dict[str, Tensor], cfg: EncoderConfig, coords: np.ndarray) ->
     layers = len(cfg.hidden) + 1
     fixed_mix = None
     if cfg.joint_mixing == "fixed":
-        fixed_mix = Tensor(mixing_matrix(cfg.joints))
+        fixed_mix = _fixed_mixing(cfg.joints, tz.active_dtype())
     for i in range(layers):
         stride = cfg.temporal_stride if i == 0 else 1
         x = tz.temporal_conv(

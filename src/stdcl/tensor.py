@@ -10,8 +10,14 @@ A backward pass writes each gradient once: a tensor's first gradient is
 copied into .grad and later ones are added to it (`Tensor._accumulate`).
 
 Precision (float64 for gradient-check builds, float32 for training runs)
-and checked mode (reject any non-finite intermediate) are process-wide
-switches, not per-tensor properties.
+and checked mode are process-wide switches, not per-tensor properties.
+The module imports in float64 checked mode.
+
+Checked mode rejects any non-finite value, and it checks each value once,
+where it is computed: the constructor scans its input, and every op scans
+its result and raises NumericError naming itself.  The ops in
+`UNSCANNED_OPS` only move or mask values of an input that was scanned when
+it was made, so their results are not scanned again.
 """
 
 from __future__ import annotations
@@ -41,6 +47,11 @@ _relu_gap_trace: list | None = None
 NORM_EPSILON = 1e-12
 
 PADDING_MODES = ("zero", "circular")  # temporal_conv's padding
+
+# Ops whose result holds only values of its input, moved (reshape, gather1d)
+# or masked to zero (relu): finite whenever the input is, so checked mode
+# does not scan them again.
+UNSCANNED_OPS = frozenset({"reshape", "relu", "gather1d"})
 
 # glibc raises its mmap and trim thresholds as the process frees large
 # blocks, so whether a step's temporaries are reused from the heap or mapped,
@@ -136,8 +147,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=active_dtype())
-        if _checked and not np.all(np.isfinite(arr)):
-            raise NumericError("tensor: non-finite value in constructor input")
+        if _checked:
+            _scan(arr, "tensor", "constructor input")
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
@@ -214,9 +225,15 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _scan(data: np.ndarray, op: str, what: str) -> None:
+    """Checked mode's one finiteness scan of a value, where `op` computed it."""
+    if not np.all(np.isfinite(data)):
+        raise NumericError(f"{op}: non-finite value in {what}")
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> Tensor:
-    if _checked and not np.all(np.isfinite(data)):
-        raise NumericError(f"{op}: non-finite value in result")
+    if _checked and op not in UNSCANNED_OPS:
+        _scan(data, op, "result")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None

@@ -24,16 +24,17 @@ import csv
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import tensor as tz
+from .atomic import atomic_path
 from .checkpoint import load_checkpoint, save_checkpoint
 from .contrast import ContrastConfig, contrast_losses, make_banks
 from .data import SkeletonDataset
-from .decoupling import DecouplerParams, decouple, init_decoupler
-from .encoder import EncoderConfig, classify, encode, init_params, test_forward
+from .decoupling import DecouplerParams, decouple, decoupler_shapes, init_decoupler
+from .encoder import EncoderConfig, classify, encode, init_params, param_shapes, test_forward
 from .errors import ConfigError, DataFormatError, NumericError
 from .metrics import per_class_accuracy, silhouette_score, top1_accuracy
 from .rng import seeded_rng
@@ -326,7 +327,7 @@ def embedding_report(model: Model, dataset: SkeletonDataset) -> EmbeddingReport:
 
 def export_embeddings_tsv(report: EmbeddingReport, path: str) -> None:
     dim = report.spatial.shape[1]
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
         header = ["index", "label"]
         header += [f"s{i}" for i in range(dim)] + [f"t{i}" for i in range(dim)]
         f.write("\t".join(header) + "\n")
@@ -358,13 +359,19 @@ def save_model(path: str, model: Model, meta: dict) -> None:
     save_checkpoint(path, model.named_tensors(), meta)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_model(path: str) -> tuple[Model, dict]:
     """Rebuild a model from a checkpoint, checked against the configs its meta describes.
 
     The meta must name the encoder config and class count, plus the
     decoupler's embed_dim and reduction when the checkpoint holds
-    ``decouple.*`` arrays.  The name table and every array shape must be
-    those the configs build; any mismatch raises DataFormatError.
+    ``decouple.*`` arrays.  Every size in the meta must be an integer, and
+    the name table and every array shape must be those the configs build;
+    both are checked before anything is allocated, and any mismatch raises
+    DataFormatError.
     """
     arrays, meta = load_checkpoint(path)
     has_decoupler = any(k.startswith("decouple.") for k in arrays)
@@ -373,16 +380,25 @@ def load_model(path: str) -> tuple[Model, dict]:
     if missing:
         raise DataFormatError(f"{path}: checkpoint meta lacks {', '.join(missing)}")
     try:
-        encoder_cfg = EncoderConfig(**{**meta["encoder"], "hidden": tuple(meta["encoder"]["hidden"])})
-        num_classes = int(meta["num_classes"])
-        expected = init_params(encoder_cfg, num_classes, seed=0)
+        hidden = meta["encoder"]["hidden"]
+        if not isinstance(hidden, list):
+            raise TypeError(f"encoder.hidden must be a list, got {hidden!r}")
+        encoder_cfg = EncoderConfig(**{**meta["encoder"], "hidden": tuple(hidden)})
+        sizes = {f"encoder.{f.name}": getattr(encoder_cfg, f.name) for f in fields(EncoderConfig) if f.type == "int"}
+        sizes.update({f"encoder.hidden[{i}]": h for i, h in enumerate(hidden)})
+        sizes.update({key: meta[key] for key in required[1:]})
+        for key, value in sizes.items():
+            if not _is_int(value):
+                raise TypeError(f"{key} must be an integer, got {value!r}")
+        num_classes = meta["num_classes"]
+        expected = param_shapes(encoder_cfg, num_classes)
         if has_decoupler:
-            reduction, dim = int(meta["reduction"]), int(meta["embed_dim"])
-            skeleton = init_decoupler(
+            reduction, dim = meta["reduction"], meta["embed_dim"]
+            branch_shapes = decoupler_shapes(
                 joints=encoder_cfg.joints, out_frames=encoder_cfg.out_frames,
-                channels=encoder_cfg.channels, reduction=reduction, dim=dim, seed=0,
+                channels=encoder_cfg.channels, reduction=reduction, dim=dim,
             )
-            expected.update({f"decouple.{k}": v for k, v in skeleton.named().items()})
+            expected.update({f"decouple.{k}": v for k, v in branch_shapes.items()})
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataFormatError(f"{path}: checkpoint meta does not describe a model: {exc}") from None
     if sorted(arrays) != sorted(expected):
@@ -391,15 +407,13 @@ def load_model(path: str) -> tuple[Model, dict]:
         raise DataFormatError(
             f"{path}: checkpoint arrays do not match its meta (missing {absent}, unexpected {extra})"
         )
-    for name, tensor in expected.items():
-        if arrays[name].shape != tensor.shape:
-            raise DataFormatError(
-                f"{path}: array {name!r} has shape {arrays[name].shape}, its meta builds {tensor.shape}"
-            )
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise DataFormatError(f"{path}: array {name!r} has shape {arrays[name].shape}, its meta builds {shape}")
     tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
     decoupler = None
     if has_decoupler:
-        named = {name: tensors[f"decouple.{name}"] for name in skeleton.named()}
+        named = {name: tensors[f"decouple.{name}"] for name in branch_shapes}
         decoupler = DecouplerParams(**named, reduction=reduction, dim=dim)
     model = Model(
         encoder_cfg=encoder_cfg,
@@ -429,7 +443,7 @@ def _metrics_row(record: StepRecord) -> list:
 
 
 def write_metrics_csv(path: str, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(METRICS_HEADER)
         writer.writerows(rows)

@@ -1,6 +1,7 @@
 """The CKPT reader against damaged files: every failure is a typed StdclError."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stdcl import cli
-from stdcl.checkpoint import MAGIC, VERSION, load_checkpoint
+from stdcl.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from stdcl.data import SyntheticSpec, generate_synthetic, save_dataset
 from stdcl.encoder import EncoderConfig
 from stdcl.errors import DataFormatError, StdclError
@@ -85,3 +86,62 @@ def test_damaged_checkpoint_loads_or_raises_typed_error(saved_checkpoint, data):
         load_model(str(path))
     except StdclError:
         pass
+
+
+def with_meta(blob, where, changes):
+    """The checkpoint `blob` rewritten into `where` with its meta changed: "a.b" keys set meta[a][b]."""
+    saved = where / "model.ckpt"
+    saved.write_bytes(blob)
+    arrays, meta = load_checkpoint(str(saved))
+    for key, value in changes.items():
+        *outer, last = key.split(".")
+        target = meta[outer[0]] if outer else meta
+        target[last] = value
+    path = where / "edited.ckpt"
+    save_checkpoint(str(path), arrays, meta)
+    return path
+
+
+def peak_bytes_of(fn):
+    tracemalloc.start()
+    try:
+        fn()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"embed_dim": 1e6}, "embed_dim must be an integer"),
+        ({"embed_dim": 6.5}, "embed_dim must be an integer"),
+        ({"embed_dim": 6.0}, "embed_dim must be an integer"),
+        ({"reduction": 2.5}, "reduction must be an integer"),
+        ({"num_classes": True}, "num_classes must be an integer"),
+        ({"encoder.channels": 8.0}, "encoder.channels must be an integer"),
+        ({"encoder.hidden": [4.5]}, r"encoder.hidden\[0\] must be an integer"),
+        ({"encoder.hidden": "4"}, "encoder.hidden must be a list"),
+        ({"embed_dim": 10**6}, "its meta builds"),
+        ({"num_classes": 10**6, "encoder.channels": 10**4}, "its meta builds"),
+    ],
+)
+def test_meta_sizes_are_checked_before_anything_is_built(saved_checkpoint, tmp_path, changes, message):
+    """A meta that does not describe the stored arrays is rejected before the model it names is allocated."""
+    path = with_meta(saved_checkpoint[1], tmp_path, changes)
+
+    def load():
+        with pytest.raises(DataFormatError, match=message):
+            load_model(str(path))
+
+    assert peak_bytes_of(load) < 4 << 20
+
+
+def test_eval_of_non_integer_meta_size_exits_data(saved_checkpoint, tmp_path, capsys):
+    path = with_meta(saved_checkpoint[1], tmp_path, {"embed_dim": 1e6})
+    data = tmp_path / "toy.jsonl"
+    save_dataset(generate_synthetic(SyntheticSpec(joints=4, frames=8, num_spatial=2, num_temporal=2,
+                                                  per_class=2), seed=0), str(data))
+    assert cli.main(["eval", str(path), "-d", str(data)]) == cli.EXIT_DATA
+    assert "embed_dim must be an integer" in capsys.readouterr().err

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from stdcl import encoder, instrumentation
+from stdcl import tensor as tz
 from stdcl.decoupling import decouple, init_decoupler
-from stdcl.encoder import EncoderConfig, classify, encode, init_params, mixing_matrix
+from stdcl.encoder import EncoderConfig, classify, encode, init_params, mixing_matrix, param_shapes
 from stdcl.errors import ConfigError, DimensionError
 from stdcl.tensor import Tensor
 
@@ -78,6 +79,12 @@ class TestInit:
     def test_all_require_grad(self):
         params = init_params(tiny_cfg(), 4, seed=0)
         assert all(p.requires_grad for p in params.values())
+
+    @pytest.mark.parametrize("mixing", ["fixed", "learned"])
+    def test_param_shapes_are_the_built_shapes(self, mixing):
+        cfg = tiny_cfg(hidden=(4, 5), joint_mixing=mixing)
+        params = init_params(cfg, 4, seed=0)
+        assert param_shapes(cfg, 4) == {name: p.shape for name, p in params.items()}
 
 
 class TestForward:
@@ -157,6 +164,23 @@ class TestInferencePath:
         assert instrumentation.count("bank_reads") == 0
         assert instrumentation.count("bank_writes") == 0
 
+    def test_chunk_scans_each_op_result_once(self, monkeypatch):
+        """Checked mode scans the input once and each arithmetic op's result once.
+
+        The reshapes around each mixing product and the relu between the
+        blocks only move or mask scanned values, and the fixed mixing
+        matrix is a constant built once.
+        """
+        cfg = tiny_cfg(hidden=(4,))
+        params = init_params(cfg, 4, seed=0)
+        coords = np.random.default_rng(6).standard_normal((16, 3, 8, 3))  # one evaluation chunk
+        encoder.test_forward(params, cfg, coords)
+        seen = []
+        monkeypatch.setattr(tz, "_scan", lambda data, op, what: seen.append(op))
+        encoder.test_forward(params, cfg, coords)
+        arithmetic = ["temporal_conv", "matmul"] * 2 + ["mean_over_axes", "matmul", "add"]
+        assert seen == ["tensor", *arithmetic]
+
     def test_inference_leaves_no_grads(self):
         cfg = tiny_cfg()
         params = init_params(cfg, 4, seed=0)
@@ -207,6 +231,25 @@ class TestMixing:
         feat = encode(params, cfg, signal).data
         bias_only = encode(params, cfg, np.zeros((2, 3, 8, 3))).data
         assert np.abs((feat - bias_only).mean(axis=2)).max() > 1e-6
+
+    def test_fixed_matrix_is_one_constant_per_joints_and_dtype(self):
+        mix = encoder._fixed_mixing(3, np.dtype(np.float64))
+        assert encoder._fixed_mixing(3, np.dtype(np.float64)) is mix
+        np.testing.assert_array_equal(mix.data, mixing_matrix(3))
+        assert not mix.requires_grad and not mix.data.flags.writeable
+        single = encoder._fixed_mixing(3, np.dtype(np.float32))
+        assert single.data.dtype == np.float32
+        np.testing.assert_array_equal(single.data, mixing_matrix(3).astype(np.float32))
+
+    def test_encode_output_follows_precision(self):
+        cfg = tiny_cfg()
+        params = init_params(cfg, 4, seed=0)
+        coords = np.random.default_rng(7).standard_normal((2, 3, 8, 3))
+        reference = encode(params, cfg, coords).data
+        with tz.using_precision("float32"):
+            single = encode({k: Tensor(p.data) for k, p in params.items()}, cfg, coords).data
+        assert single.dtype == np.float32
+        np.testing.assert_allclose(single, reference, rtol=1e-4, atol=1e-5)
 
     def test_mode_validation(self):
         with pytest.raises(ConfigError, match="joint_mixing"):

@@ -402,6 +402,80 @@ class TestCheckedMode:
         assert Tensor(1.0).data.dtype == np.float64
 
 
+@pytest.fixture
+def scans(monkeypatch):
+    """The op names of checked mode's finiteness scans, in order."""
+    seen = []
+    scan = tz._scan
+
+    def record(data, op, what):
+        seen.append(op)
+        scan(data, op, what)
+
+    monkeypatch.setattr(tz, "_scan", record)
+    return seen
+
+
+def _conv_of(value):
+    x, w = Tensor(np.full((1, 1, 1, 1), value)), Tensor(np.full((1, 1, 1), value))
+    return tz.temporal_conv(x, w, Tensor(np.zeros(1)))
+
+
+# ops fed finite values whose result overflows; log and l2_normalize cannot
+# turn finite inputs into a non-finite result, and the ops in UNSCANNED_OPS
+# only move or mask their input
+OVERFLOWING_OPS = {
+    "matmul": lambda: tz.matmul(Tensor([[1e200]]), Tensor([[1e200]])),
+    "add": lambda: tz.add(Tensor([1e308]), Tensor([1e308])),
+    "sub": lambda: tz.sub(Tensor([1e308]), Tensor([-1e308])),
+    "mul": lambda: tz.mul(Tensor([1e200]), Tensor([1e200])),
+    "scalar_mul": lambda: tz.scalar_mul(Tensor([1e308]), 10.0),
+    "add_scalar": lambda: tz.add_scalar(Tensor([1e308]), 1e308),
+    "add_scalar/tensor": lambda: tz.add_scalar(Tensor([1e308]), Tensor(1e308)),
+    "exp": lambda: tz.exp(Tensor([1000.0])),
+    "sum_over_axes": lambda: tz.sum_over_axes(Tensor([1e308, 1e308]), (0,)),
+    "mean_over_axes": lambda: tz.mean_over_axes(Tensor([1e308, 1e308]), (0,)),
+    "softmax_cross_entropy": lambda: tz.softmax_cross_entropy(Tensor([1e308, -1e308]), 1),
+    "temporal_conv": lambda: _conv_of(1e200),
+}
+
+
+class TestCheckedModeScansOnce:
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING_OPS))
+    def test_overflow_raises_naming_the_op(self, case):
+        op = case.split("/")[0]
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match=f"^{op}: non-finite value in result"):
+            OVERFLOWING_OPS[case]()
+
+    def test_unscanned_ops_only_move_or_mask(self):
+        assert tz.UNSCANNED_OPS == {"reshape", "relu", "gather1d"}
+
+    def test_reshape_relu_and_gather_do_not_rescan(self, scans):
+        x = Tensor(np.array([[1.0, -2.0], [3.0, 4.0]]), requires_grad=True)
+        assert scans == ["tensor"]
+        scans.clear()
+        flat = tz.reshape(tz.relu(x), (4,))
+        picked = tz.gather1d(flat, [0, 2, 3])
+        np.testing.assert_array_equal(picked.data, [1.0, 3.0, 4.0])
+        assert scans == []
+        tz.sum_all(picked).backward()
+        np.testing.assert_array_equal(x.grad, [[1.0, 0.0], [1.0, 1.0]])
+
+    def test_unchecked_mode_scans_nothing(self, scans, monkeypatch):
+        monkeypatch.setattr(tz, "_checked", False)
+        with np.errstate(all="ignore"):
+            for case in OVERFLOWING_OPS.values():
+                case()
+        assert scans == []
+
+    def test_imports_in_float64_checked_mode(self):
+        probe = "import stdcl.tensor as tz; print(tz.active_dtype().name, tz.is_checked())"
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.split() == ["float64", "True"]
+
+
 class TestNoGrad:
     def test_ops_record_no_tape(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
