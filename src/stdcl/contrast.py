@@ -5,22 +5,25 @@ sequence.  Rows hold detached, L2-normalized embeddings; a slot's label
 is set on first write and immutable afterwards.  Invalid (never
 written) slots hold zeros and are excluded from sampling.
 
-A training step handles a head's whole batch at once.  The B anchors are
-scored against every bank slot by one ``(B, D) @ (D, L)`` product of the
-unit anchors with the bank.  Each row mines the hardest positives
-(lowest cosine similarity among same-label slots) and hardest negatives
-(highest similarity among different-label slots), padded with uniform
-random draws from the remaining different-label slots.  One sort per
-call ranks the valid slots of all B rows; similarity ties break toward
-the lower slot index, and only the rows that hold a tie are re-ranked to
-apply that rule.  Rows draw their random negatives in batch order, so
-sampling is fully deterministic given the bank state and RNG stream.
-``sample_contrast`` and ``info_nce`` are the batch-of-one case of the
-same code.
+A training step does the contrast work of both heads in one pass.  The
+2B anchors are normalized once and fill one (2B, L) score matrix: each
+head's B rows come from one ``(B, D) @ (D, L)`` product of its unit
+anchors with its own bank.  The banks of one fit agree on every slot's
+label and validity, so one sort ranks the valid slots of all 2B rows and
+one set of label masks splits them.  Each row mines the hardest
+positives (lowest cosine similarity among same-label slots) and hardest
+negatives (highest similarity among different-label slots), padded with
+uniform random draws from the remaining different-label slots, straight
+into flat (CSR) slot arrays.  Similarity ties break toward the lower
+slot index, and only the rows that hold a tie are re-ranked to apply
+that rule.  A head's rows draw their random negatives from its bank's
+RNG in batch order, so sampling is fully deterministic given the bank
+state and RNG stream.  ``sample_contrast`` and ``info_nce`` are the
+one-head, one-row case of the same code.
 
-All B losses are one tape node that reads its similarities from the
-same score matrix, gathered for all rows at once.  Two loss forms are
-provided:
+One flat forward computes the losses of all mined rows, gathering their
+similarities from the score matrix at once, and each head's B losses are
+one tape node.  Two loss forms are provided:
 
 * ``exponentiated`` (default): standard InfoNCE with temperature --
   per positive ``log(exp(sp/tau) + sum_n exp(sn/tau)) - sp/tau``,
@@ -173,12 +176,29 @@ class ContrastSample:
         return np.concatenate([self.hard_negatives, self.random_negatives])
 
 
-def _unit_rows(anchors: np.ndarray, where: str) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalized float64 copy of (B, D) anchors, and the row norms."""
+@dataclass(frozen=True)
+class MinedRows:
+    """The samples of the score rows that have one, as CSR arrays.
+
+    Score row ``rows[k]`` owns the ``pos_counts[k]`` positives that follow
+    those of rows[:k] in `pos`, hardest first, and likewise the
+    ``neg_counts[k]`` negatives in `neg`: its hard negatives, then its
+    random ones.  Rows ascend.
+    """
+
+    rows: np.ndarray
+    pos: np.ndarray
+    pos_counts: np.ndarray
+    neg: np.ndarray
+    neg_counts: np.ndarray
+
+
+def _unit_rows(anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-normalized float64 copy of (N, D) anchors, and the row norms."""
     rows = np.asarray(anchors, dtype=np.float64)
     norms = np.linalg.norm(rows, axis=1)
     if not np.isfinite(rows).all() or (norms < NORM_EPSILON).any():
-        raise DegenerateVectorError(f"{where}: anchor embedding is degenerate")
+        raise DegenerateVectorError("contrast scoring: anchor embedding is degenerate")
     return rows / norms[:, None], norms
 
 
@@ -187,89 +207,99 @@ def _bounds(counts) -> list:
     return [0, *np.cumsum(counts).tolist()]
 
 
-def sample_batch(
-    bank: MemoryBank,
-    anchors: np.ndarray,
-    labels,
-    indices,
-    cfg: ContrastConfig,
-    rng,
-) -> tuple[np.ndarray, list]:
-    """Mine a contrastive sample for each row of (B, D) `anchors`.
+def score_heads(banks: list, anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(units, norms, scores) of the (H * B, D) anchors of H = len(banks) heads, head by head.
 
-    Returns (scores, samples): scores[b, j] is the cosine similarity of
-    anchor b to bank slot j, from one product with the whole bank, and
-    samples[b] is anchor b's ContrastSample, or None if either side of its
-    pool is empty.
-
-    One sort ranks every row's valid slots, highest similarity first.  A
-    row without a repeated score has a single order, so the unstable sort
-    finds it exactly; its negatives are its ranked slots of another label
-    and its positives those of its own label, reversed.  Only a row that
-    repeats a score (``==``, so -0.0 ties 0.0) is re-ranked with
-    ``lexsort``, ties toward the lower slot, and its positives get a
-    rising ``lexsort`` of their own.  The anchor's own slot is in neither
-    pool.  Rows draw their random negatives in batch order, so the draws
-    are those that B one-anchor calls would take from `rng`.
+    All rows are normalized together, once.  Each head's B unit rows are
+    scored against its own bank by one ``(B, D) @ (D, L)`` product, so
+    scores[r, j] is the cosine similarity of anchor r to slot j of its
+    head's bank.  Banks scored together must agree on every slot's label
+    and validity, as the banks of one fit do, so that one pass mines them.
     """
-    units, _ = _unit_rows(anchors, "contrast sampling")
-    if len(labels) != units.shape[0] or len(indices) != units.shape[0]:
+    units, norms = _unit_rows(anchors)
+    bank, count = banks[0], units.shape[0] // len(banks)
+    if count * len(banks) != units.shape[0]:
+        raise DimensionError(f"contrast scoring: {units.shape[0]} anchors do not split over {len(banks)} heads")
+    for other in banks[1:]:
+        if not (np.array_equal(other.labels, bank.labels) and np.array_equal(other.valid, bank.valid)):
+            raise BankIntegrityError(f"banks {bank.name!r} and {other.name!r} disagree on slot labels or validity")
+    scores = np.empty((units.shape[0], bank.length))
+    for h, head_bank in enumerate(banks):
+        rows = slice(h * count, (h + 1) * count)
+        np.matmul(units[rows], head_bank.features.T, out=scores[rows])
+    return units, norms, scores
+
+
+def sample_batch(banks: list, scores: np.ndarray, labels, indices, cfg: ContrastConfig, rngs: list) -> MinedRows:
+    """Mine a contrastive sample for each row of `scores`, as `score_heads` returned it.
+
+    Head h's B rows are anchors with the B `labels` and `indices`, mined
+    from banks[h]; a row whose positive or negative pool is empty gets no
+    sample.  One sort ranks every row's valid slots, highest similarity
+    first.  A row without a repeated score has a single order, so the
+    unstable sort finds it exactly; its negatives are its ranked slots of
+    another label and its positives those of its own label, reversed.
+    Only a row that repeats a score (``==``, so -0.0 ties 0.0) is re-ranked
+    with ``lexsort``, ties toward the lower slot, and its positives get a
+    rising ``lexsort`` of their own.  The anchor's own slot is in neither
+    pool.  Head h's rows draw their random negatives from rngs[h] in batch
+    order, so the draws are those that B one-anchor calls would take.
+    """
+    bank, count = banks[0], len(labels)
+    if len(indices) != count or scores.shape != (count * len(banks), bank.length):
         raise DimensionError(
-            f"contrast sampling: {units.shape[0]} anchors, {len(labels)} labels, {len(indices)} indices"
+            f"contrast sampling: scores {scores.shape} for {len(banks)} banks of {bank.length} slots, "
+            f"{count} labels, {len(indices)} indices"
         )
-    scores = units @ bank.features.T
     slots = np.flatnonzero(bank.valid)
-    valid_scores = scores[:, slots]
-    count, width = valid_scores.shape
+    full = slots.size == bank.length
+    valid_scores = scores if full else scores[:, slots]
+    height, width = valid_scores.shape
     order = np.argsort(-valid_scores, axis=1)
-    ordered = valid_scores.ravel()[order + width * np.arange(count)[:, None]]
+    ordered = valid_scores.ravel()[order + width * np.arange(height)[:, None]]
     tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-    for b in np.flatnonzero(tied):
-        order[b] = np.lexsort((slots, -valid_scores[b]))
-    ranked = slots[order]
-    labels = np.asarray(labels, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    same = bank.labels[ranked] == labels[:, None]
-    others = ranked != indices[:, None]
-    pos_masks = same & others
-    neg_masks = ~same & others
+    for r in np.flatnonzero(tied):
+        order[r] = np.lexsort((slots, -valid_scores[r]))
+    ranked = order if full else slots[order]
+    row_labels = np.tile(np.asarray(labels, dtype=np.int64), len(banks))
+    row_indices = np.tile(np.asarray(indices, dtype=np.int64), len(banks))
+    same = bank.labels[ranked] == row_labels[:, None]
+    others = ranked != row_indices[:, None]
+    pos_masks, neg_masks = same & others, ~same & others
     pos_flat, neg_flat = ranked[pos_masks], ranked[neg_masks]
     pos_bounds, neg_bounds = _bounds(pos_masks.sum(axis=1)), _bounds(neg_masks.sum(axis=1))
-    samples = []
-    for b in range(count):
-        instrumentation.bump("bank_reads")
-        positives = pos_flat[pos_bounds[b] : pos_bounds[b + 1]]
-        negatives = neg_flat[neg_bounds[b] : neg_bounds[b + 1]]
-        if positives.size == 0 or negatives.size == 0:
-            samples.append(None)
+    instrumentation.bump("bank_reads", height)
+    n_pos, n_hard, n_rand_max = cfg.n_pos_hard, cfg.n_neg_hard, cfg.n_neg_rand
+    rows, pos, neg, pos_counts, neg_counts = [], [slots[:0]], [slots[:0]], [], []
+    for r, is_tied in enumerate(tied.tolist()):
+        p0, p1, n0, n1 = pos_bounds[r], pos_bounds[r + 1], neg_bounds[r], neg_bounds[r + 1]
+        if p0 == p1 or n0 == n1:
             continue
-        if tied[b]:
-            rising = slots[np.lexsort((slots, valid_scores[b]))]
-            positives = rising[(bank.labels[rising] == labels[b]) & (rising != indices[b])]
+        if is_tied:
+            rising = slots[np.lexsort((slots, valid_scores[r]))]
+            pos.append(rising[(bank.labels[rising] == row_labels[r]) & (rising != row_indices[r])][:n_pos])
         else:
-            positives = positives[::-1]
-        remaining = negatives[cfg.n_neg_hard :]
-        n_rand = min(cfg.n_neg_rand, remaining.size)
-        rand_neg = rng.choice(remaining, size=n_rand, replace=False) if n_rand else remaining[:0]
-        samples.append(ContrastSample(
-            positives=positives[: cfg.n_pos_hard].astype(np.int64),
-            hard_negatives=negatives[: cfg.n_neg_hard].astype(np.int64),
-            random_negatives=np.asarray(rand_neg, dtype=np.int64),
-        ))
-    return scores, samples
+            pos.append(pos_flat[max(p0, p1 - n_pos) : p1][::-1])
+        hard = min(n_hard, n1 - n0)
+        n_rand = min(n_rand_max, n1 - n0 - hard)
+        neg.append(neg_flat[n0 : n0 + hard])
+        if n_rand:
+            neg.append(rngs[r // count].choice(neg_flat[n0 + hard : n1], size=n_rand, replace=False))
+        rows.append(r)
+        pos_counts.append(pos[-1].size)
+        neg_counts.append(hard + n_rand)
+    counts = np.array([pos_counts, neg_counts], dtype=np.int64)
+    return MinedRows(np.array(rows, dtype=np.int64), np.concatenate(pos), counts[0], np.concatenate(neg), counts[1])
 
 
 def sample_contrast(
-    bank: MemoryBank,
-    anchor_embedding: np.ndarray,
-    label: int,
-    anchor_index: int,
-    cfg: ContrastConfig,
-    rng,
+    bank: MemoryBank, anchor_embedding: np.ndarray, label: int, anchor_index: int, cfg: ContrastConfig, rng
 ) -> ContrastSample | None:
     """Mine a contrastive sample from the bank, or None if either side is empty."""
-    anchor = np.asarray(anchor_embedding, dtype=np.float64)
-    return sample_batch(bank, anchor[None, :], [label], [anchor_index], cfg, rng)[1][0]
+    scores = score_heads([bank], np.asarray(anchor_embedding, dtype=np.float64)[None, :])[2]
+    mined = sample_batch([bank], scores, [label], [anchor_index], cfg, [rng])
+    hard = min(cfg.n_neg_hard, mined.neg.size)
+    return ContrastSample(mined.pos, mined.neg[:hard], mined.neg[hard:]) if mined.rows.size else None
 
 
 def _segment_sums(values: np.ndarray, bounds: list) -> np.ndarray:
@@ -281,50 +311,58 @@ def _segment_sums(values: np.ndarray, bounds: list) -> np.ndarray:
     return np.array([values[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
 
 
-def info_nce_batch(
-    anchors: Tensor, scores: np.ndarray, samples: list, bank: MemoryBank, cfg: ContrastConfig
-) -> tuple[Tensor, np.ndarray]:
-    """Contrastive losses of B anchors as one tape node.
+def _nce_node(anchors: Tensor, bank: MemoryBank, losses, units, norms, d_scores) -> Tensor:
+    """One head's (B,) losses as a tape node whose backward reads only that head's rows and bank."""
+    dtype = anchors.data.dtype
 
-    `anchors` is (B, D); `scores` and `samples` are what `sample_batch`
-    returned for its rows.  Returns the (B,) per-anchor losses, 0 where
-    samples[b] is None, and the (B,) counts of literal-form positives
-    skipped.  The positives of all mined rows are laid out back to back
-    in one flat array, and so are the negatives; each is gathered from
-    `scores` by one index, and per-row maxima and sums are taken over
-    each row's contiguous segment.  The backward maps the score gradients
-    dS to the anchors as dS @ bank.features through the row-normalize
-    Jacobian, so the slots a sample names must not be rewritten before
-    the backward pass.
+    def backward(g: np.ndarray) -> None:
+        if anchors.requires_grad:
+            d_units = (d_scores * g[:, None]) @ bank.features
+            radial = np.sum(units * d_units, axis=1, keepdims=True)
+            anchors._accumulate(((d_units - units * radial) / norms[:, None]).astype(dtype))
+
+    return tz._make(losses.astype(dtype), (anchors,), backward, "info_nce_batch")
+
+
+def info_nce_batch(
+    heads: list, banks: list, scored: tuple, mined: MinedRows, cfg: ContrastConfig
+) -> tuple[list, np.ndarray]:
+    """Contrastive losses of H heads' (B, D) anchors, as one tape node per head.
+
+    `scored` is what `score_heads` returned for the heads' anchors, and
+    `mined` holds the samples of its rows.  Returns each head's (B,)
+    losses, 0 for a row without a sample, and the (H * B,) counts of
+    literal-form positives skipped.  The positives of all mined rows are
+    laid out back to back in one flat array, and so are the negatives;
+    each is gathered from the scores by one index, and per-row maxima and
+    sums are taken over each row's contiguous segment.  Head h's backward
+    maps its rows of the score gradients dS to its anchors as
+    dS @ banks[h].features through the row-normalize Jacobian, so the
+    slots a sample names must not be rewritten before the backward pass.
     """
-    count = anchors.shape[0]
-    if anchors.data.ndim != 2 or scores.shape != (count, bank.length) or len(samples) != count:
+    units, norms, scores = scored
+    count, length = heads[0].shape[0], banks[0].length
+    if any(t.data.ndim != 2 or t.shape[0] != count for t in heads) or scores.shape != (len(heads) * count, length):
         raise DimensionError(
-            f"info_nce: anchors {anchors.shape}, scores {scores.shape} and {len(samples)} samples "
-            f"do not fit a bank of {bank.length} slots"
+            f"info_nce: anchors {[t.shape for t in heads]} and scores {scores.shape} "
+            f"do not fit banks of {length} slots"
         )
-    units, norms = _unit_rows(anchors.data, "info_nce")
-    inv_tau = 1.0 / cfg.tau
-    losses = np.zeros(count)
-    skipped = np.zeros(count, dtype=np.int64)
-    d_scores = np.zeros(scores.shape)  # d losses[b] / d scores[b, :]
-    live = np.array([b for b, sample in enumerate(samples) if sample is not None], dtype=np.int64)
-    if any(samples[b].positives.size == 0 for b in live):
+    if (mined.pos_counts == 0).any():
         raise ConfigError("info_nce requires at least one positive (caller should skip)")
+    for named in (mined.pos, mined.neg):
+        if named.size and (named.min() < 0 or named.max() >= length):
+            raise DimensionError(f"info_nce: sample names a slot outside [0, {length})")
+    inv_tau = 1.0 / cfg.tau
+    losses = np.zeros(scores.shape[0])
+    skipped = np.zeros(scores.shape[0], dtype=np.int64)
+    d_scores = np.zeros(scores.shape)  # d losses[r] / d scores[r, :]
+    live, pos_counts, neg_counts = mined.rows, mined.pos_counts, mined.neg_counts
     if live.size:
-        negatives = [samples[b].negatives for b in live]
-        pos_slots = np.concatenate([samples[b].positives for b in live])
-        neg_slots = np.concatenate(negatives)
-        for named in (pos_slots, neg_slots):
-            if named.size and (named.min() < 0 or named.max() >= bank.length):
-                raise DimensionError(f"info_nce: sample names a slot outside [0, {bank.length})")
-        pos_counts = np.array([samples[b].positives.size for b in live])
-        neg_counts = np.array([n.size for n in negatives])
         pos_bounds, neg_bounds = _bounds(pos_counts), _bounds(neg_counts)
         pos_seg = np.repeat(np.arange(live.size), pos_counts)  # segment of each positive
         neg_seg = np.repeat(np.arange(live.size), neg_counts)
-        pos_at = bank.length * live[pos_seg] + pos_slots  # flat (row, slot) positions in scores
-        neg_at = bank.length * live[neg_seg] + neg_slots
+        pos_at = length * live[pos_seg] + mined.pos  # flat (row, slot) positions in scores
+        neg_at = length * live[neg_seg] + mined.neg
         pos = np.take(scores, pos_at) * inv_tau
         neg = np.take(scores, neg_at) * inv_tau
         if cfg.loss_form == "exponentiated":
@@ -348,8 +386,8 @@ def info_nce_batch(
             kept = np.add.reduceat(keep.astype(np.int64), pos_bounds[:-1])
             skipped[live] = pos_counts - kept
             terms = np.log(pos[keep]) - np.log(clamped[keep])
-            scored = kept > 0
-            losses[live[scored]] = -_segment_sums(terms, _bounds(kept))[scored]
+            scored_rows = kept > 0
+            losses[live[scored_rows]] = -_segment_sums(terms, _bounds(kept))[scored_rows]
             d_clamped = np.where(keep & over, 1.0 / clamped, 0.0)
             d_neg = _segment_sums(d_clamped, pos_bounds)[neg_seg]
             d_pos = d_clamped.copy()
@@ -357,15 +395,11 @@ def info_nce_batch(
         flat = d_scores.reshape(-1)  # np.add.at: a slot a sample names twice gets both terms
         np.add.at(flat, pos_at, d_pos * inv_tau)
         np.add.at(flat, neg_at, d_neg * inv_tau)
-    dtype = anchors.data.dtype
-
-    def backward(g: np.ndarray) -> None:
-        if anchors.requires_grad:
-            d_units = (d_scores * g[:, None]) @ bank.features
-            radial = np.sum(units * d_units, axis=1, keepdims=True)
-            anchors._accumulate(((d_units - units * radial) / norms[:, None]).astype(dtype))
-
-    return tz._make(losses.astype(dtype), (anchors,), backward, "info_nce_batch"), skipped
+    nodes = []
+    for h, (anchors, bank) in enumerate(zip(heads, banks)):
+        rows = slice(h * count, (h + 1) * count)
+        nodes.append(_nce_node(anchors, bank, losses[rows], units[rows], norms[rows], d_scores[rows]))
+    return nodes, skipped
 
 
 def info_nce(
@@ -374,28 +408,32 @@ def info_nce(
     """Contrastive loss for one anchor. Returns (loss, skipped_positive_terms)."""
     if anchor.data.ndim != 1:
         raise DimensionError(f"info_nce: expects a vector anchor, got shape {anchor.shape}")
-    units, _ = _unit_rows(anchor.data[None, :], "info_nce")
-    stacked = tz.reshape(anchor, (1, anchor.size))
-    losses, skipped = info_nce_batch(stacked, units @ bank.features.T, [sample], bank, cfg)
+    stacked, negatives = tz.reshape(anchor, (1, anchor.size)), sample.negatives
+    mined = MinedRows(np.zeros(1, dtype=np.int64), sample.positives, np.array([sample.positives.size]),
+                      negatives, np.array([negatives.size]))
+    (losses,), skipped = info_nce_batch([stacked], [bank], score_heads([bank], stacked.data), mined, cfg)
     return tz.reshape(losses, ()), int(skipped[0])
 
 
-def contrast_losses(
-    bank: MemoryBank, anchors: Tensor, labels, indices, cfg: ContrastConfig
-) -> tuple[Tensor | None, int]:
-    """Losses of a (B, D) batch of anchors against the bank as it stands; no bank write.
+def contrast_losses(banks: dict, anchors_by_head: dict, labels, indices, cfg: ContrastConfig) -> tuple[dict, int]:
+    """Losses of every head's (B, D) anchors against its bank as it stands; no bank write.
 
-    Mines every anchor from one bank product and builds all B losses as
-    one tape node.  Returns the (B,) losses, or None when no anchor has a
+    One pass serves all heads: the anchors are normalized once, scored,
+    ranked and mined together, and their losses come from one flat
+    InfoNCE forward, as one tape node per head.  Returns {head: (B,)
+    losses} in the order of `anchors_by_head`, leaving out a head with no
     term to backpropagate, and the skip count: anchors without a sample
     plus literal-form positives skipped.  Callers write the fresh
     embeddings back after their backward pass.
     """
-    scores, samples = sample_batch(bank, anchors.data, labels, indices, cfg, bank.rng)
-    losses, skipped = info_nce_batch(anchors, scores, samples, bank, cfg)
-    unmined = sum(sample is None for sample in samples)
-    live = any(s is not None and n < s.positives.size for s, n in zip(samples, skipped))
-    return (losses if live else None), unmined + int(skipped.sum())
+    names = list(anchors_by_head)
+    heads, head_banks = [anchors_by_head[name] for name in names], [banks[name] for name in names]
+    scored = score_heads(head_banks, np.concatenate([t.data for t in heads]))
+    mined = sample_batch(head_banks, scored[2], labels, indices, cfg, [bank.rng for bank in head_banks])
+    nodes, skipped = info_nce_batch(heads, head_banks, scored, mined, cfg)
+    live = set((mined.rows[skipped[mined.rows] < mined.pos_counts] // len(labels)).tolist())
+    unmined = len(names) * len(labels) - mined.rows.size
+    return {name: nodes[h] for h, name in enumerate(names) if h in live}, unmined + int(skipped.sum())
 
 
 def make_banks(length: int, dim: int, seed: int) -> dict[str, MemoryBank]:

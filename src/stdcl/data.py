@@ -353,6 +353,33 @@ def save_jsonl(ds: SkeletonDataset, path: str) -> None:
             ))
 
 
+def _json_int(record: dict, key: str) -> int:
+    """record[key] if it is a JSON integer in [0, 2**31), the range SKL1 stores; else TypeError."""
+    value = record[key]
+    if type(value) is not int or not 0 <= value < 2**31:
+        raise TypeError(f"{key} must be an integer in [0, 2**31), got {value!r}")
+    return value
+
+
+def _json_coords(raw: bytes, values) -> np.ndarray | None:
+    """`values`, the coords parsed from JSONL line `raw`, as float64; None unless a flat list of numbers.
+
+    numpy converts strings, bools and nulls to float64 too.  No list of the
+    line holds one when, from the line's first "[" on, it has no quote (so
+    no string) and no "u" or "l" (so no true, false or null).  Only other
+    lines have their values' types checked one by one, which on a line of
+    576 numbers costs several times these byte searches.
+    """
+    if type(values) is not list:
+        return None
+    start = raw.find(b"[")
+    plain = raw.rfind(b'"') < start and raw.find(b"u", start) < 0 and raw.find(b"l", start) < 0
+    if not plain and not set(map(type, values)) <= {int, float}:
+        return None
+    coords = np.array(values, dtype=np.float64)
+    return coords if coords.ndim == 1 else None
+
+
 def _load_jsonl(path: str) -> SkeletonDataset:
     sequences = []
     with open(path, "rb") as f:
@@ -371,18 +398,20 @@ def _load_jsonl(path: str) -> SkeletonDataset:
             if not isinstance(record, dict):
                 raise DataFormatError(f"{where}: record must be a JSON object, got {type(record).__name__}")
             try:
-                joints, frames = int(record["joints"]), int(record["frames"])
-                coords = np.array(record["coords"], dtype=np.float64)
+                index, label, joints, frames = (
+                    _json_int(record, key) for key in ("index", "label", "joints", "frames")
+                )
+                if min(joints, frames) < 1:
+                    raise DataFormatError(f"{where}: joints and frames must be positive, got {joints}, {frames}")
+                coords = _json_coords(raw, record["coords"])
+                if coords is None:
+                    raise DataFormatError(f"{where}: coords must be a flat list of JSON numbers")
                 if coords.size != joints * frames * 3:
                     raise DataFormatError(
                         f"{where}: expected {joints * frames * 3} coordinates, got {coords.size}"
                     )
                 sequences.append(
-                    SkeletonSequence(
-                        coords=coords.reshape(joints, frames, 3),
-                        label=int(record["label"]),
-                        index=int(record["index"]),
-                    )
+                    SkeletonSequence(coords=coords.reshape(joints, frames, 3), label=label, index=index)
                 )
             except KeyError as exc:
                 raise DataFormatError(f"{where}: missing field {exc}") from exc
@@ -421,7 +450,8 @@ def _load_binary(path: str) -> SkeletonDataset:
     if len(blob) != expected:
         raise DataFormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
     coords = np.frombuffer(blob, dtype="<f4", count=count * joints * frames * 3, offset=offset)
-    coords = coords.astype(np.float64).reshape(count, joints, frames, 3)
+    with np.errstate(invalid="ignore"):  # a signalling NaN payload widens to a quiet NaN, rejected below
+        coords = coords.astype(np.float64).reshape(count, joints, frames, 3)
     offset += coords_bytes
     labels = np.frombuffer(blob, dtype="<i4", count=count, offset=offset)
     offset += count * 4

@@ -45,6 +45,12 @@ class EncoderConfig:
     temporal_padding: str = "zero"
 
     def __post_init__(self):
+        sizes = {name: getattr(self, name)
+                 for name in ("joints", "frames", "channels", "temporal_stride", "kernel_size")}
+        sizes.update((f"hidden[{i}]", h) for i, h in enumerate(self.hidden))
+        for name, value in sizes.items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"encoder.{name} must be an integer, got {value!r}")
         if self.joints < 2:
             raise ConfigError(f"encoder needs at least 2 joints, got {self.joints}")
         if self.frames < 1:
@@ -55,7 +61,7 @@ class EncoderConfig:
             raise ConfigError(f"temporal_stride must be positive, got {self.temporal_stride}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ConfigError(f"kernel_size must be odd and positive, got {self.kernel_size}")
-        if any(int(h) < 1 for h in self.hidden):
+        if any(h < 1 for h in self.hidden):
             raise ConfigError(f"hidden channel counts must be positive, got {self.hidden}")
         if self.joint_mixing not in MIXING_MODES:
             raise ConfigError(f"joint_mixing must be one of {MIXING_MODES}, got {self.joint_mixing!r}")
@@ -63,7 +69,7 @@ class EncoderConfig:
             raise ConfigError(
                 f"temporal_padding must be one of {PADDING_MODES}, got {self.temporal_padding!r}"
             )
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        object.__setattr__(self, "hidden", tuple(self.hidden))
 
     @property
     def out_frames(self) -> int:

@@ -233,7 +233,7 @@ def _case_info_nce_batch(rng):
     other rows lie near orthogonal directions, so every kept literal
     denominator stays far from the clamp.
     """
-    from .contrast import ContrastConfig, MemoryBank, info_nce_batch, sample_batch
+    from .contrast import ContrastConfig, MemoryBank, info_nce_batch, sample_batch, score_heads
 
     dim = 5
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -252,13 +252,12 @@ def _case_info_nce_batch(rng):
     tau = float(rng.uniform(0.5, 1.0))
     forms = [ContrastConfig(tau=tau, n_pos_hard=3, n_neg_hard=2, n_neg_rand=2, loss_form=form)
              for form in ("exponentiated", "literal")]
-    _, samples = sample_batch(bank, anchors, [0, 1, 7], [9, 10, 11], forms[0], rng)
+    mined = sample_batch([bank], score_heads([bank], anchors)[2], [0, 1, 7], [9, 10, 11], forms[0], [rng])
     projections = [_projector(rng, (3,)) for _ in forms]
 
     def fn(t):
-        data = t["anchors"].data
-        scores = (data / np.linalg.norm(data, axis=1, keepdims=True)) @ bank.features.T
-        terms = [project(info_nce_batch(t["anchors"], scores, samples, bank, cfg)[0])
+        scored = score_heads([bank], t["anchors"].data)
+        terms = [project(info_nce_batch([t["anchors"]], [bank], scored, mined, cfg)[0][0])
                  for cfg, project in zip(forms, projections)]
         return tz.add(*terms)
 
@@ -332,7 +331,7 @@ def _build_pipeline_case(seed: int):
     the parameters.  Seeds whose forward pass lands too close to a relu kink
     or a degenerate embedding norm are rejected by the caller.
     """
-    from .contrast import ContrastConfig, MemoryBank, _unit_rows, info_nce_batch, sample_batch
+    from .contrast import ContrastConfig, MemoryBank, info_nce_batch, sample_batch, score_heads
     from .decoupling import DecouplerParams, decouple, init_decoupler
     from .encoder import EncoderConfig, encode, classify, init_params
 
@@ -355,11 +354,11 @@ def _build_pipeline_case(seed: int):
 
     bank_size = 8
     banks = {}
+    bank_labels = rng.integers(0, num_classes, size=bank_size)  # the heads of a fit share slot labels
+    bank_labels[[1, 3]] = labels  # every anchor has a positive ...
+    bank_labels[[2, 4]] = (labels + 1) % num_classes  # ... and a negative
     for name in ("spatial", "temporal"):
         bank = MemoryBank(length=bank_size, dim=5, name=name, seed=seed)
-        bank_labels = rng.integers(0, num_classes, size=bank_size)
-        bank_labels[[1, 3]] = labels  # every anchor has a positive ...
-        bank_labels[[2, 4]] = (labels + 1) % num_classes  # ... and a negative
         for i in range(1, 7):
             bank.update(i, Tensor(rng.standard_normal(5)), int(bank_labels[i]))
         banks[name] = bank
@@ -381,17 +380,16 @@ def _build_pipeline_case(seed: int):
         heads0, _, _ = embeddings({k: Tensor(v, requires_grad=False) for k, v in arrays.items()})
         min_gap = min(gaps) if gaps else np.inf
         min_norm = min(float(np.linalg.norm(t.data, axis=1).min()) for t in heads0.values())
-        samples = {
-            name: sample_batch(banks[name], t.data, labels, anchor_slots, ccfg, banks[name].rng)[1]
-            for name, t in heads0.items()
-        }
+        both = list(banks.values())
+        scores = score_heads(both, np.concatenate([t.data for t in heads0.values()]))[2]
+        mined = sample_batch(both, scores, labels, anchor_slots, ccfg, [bank.rng for bank in both])
 
     def fn(tensors: dict[str, Tensor]) -> Tensor:
         heads, enc_params, feat = embeddings(tensors)
         loss = tz.mean_over_axes(tz.softmax_cross_entropy(classify(enc_params, feat), labels), (0,))
-        for name, anchors in heads.items():
-            scores = _unit_rows(anchors.data, "gradcheck")[0] @ banks[name].features.T
-            nce, _ = info_nce_batch(anchors, scores, samples[name], banks[name], ccfg)
+        anchors = list(heads.values())
+        scored = score_heads(both, np.concatenate([t.data for t in anchors]))
+        for nce in info_nce_batch(anchors, both, scored, mined, ccfg)[0]:
             loss = tz.add(loss, tz.mean_over_axes(nce, (0,)))
         return loss
 

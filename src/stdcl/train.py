@@ -24,7 +24,7 @@ import csv
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -240,11 +240,8 @@ def train_step(
     if cfg.framework_enabled:
         pair = decouple(feature_map, model.decoupler)
         embeddings = {"spatial": pair.spatial, "temporal": pair.temporal}
-        for name, anchors in embeddings.items():
-            losses, n_skip = contrast_losses(banks[name], anchors, labels, indices, cfg.contrast_config())
-            skipped += n_skip
-            if losses is not None:
-                means[name] = tz.mean_over_axes(losses, (0,))
+        losses, skipped = contrast_losses(banks, embeddings, labels, indices, cfg.contrast_config())
+        means.update((name, tz.mean_over_axes(head, (0,))) for name, head in losses.items())
 
     weights = {"ce": cfg.lambda_ce, "spatial": cfg.lambda_spatial, "temporal": cfg.lambda_temporal}
     values = {name: means[name].item() if name in means else 0.0 for name in weights}
@@ -383,13 +380,10 @@ def load_model(path: str) -> tuple[Model, dict]:
         hidden = meta["encoder"]["hidden"]
         if not isinstance(hidden, list):
             raise TypeError(f"encoder.hidden must be a list, got {hidden!r}")
-        encoder_cfg = EncoderConfig(**{**meta["encoder"], "hidden": tuple(hidden)})
-        sizes = {f"encoder.{f.name}": getattr(encoder_cfg, f.name) for f in fields(EncoderConfig) if f.type == "int"}
-        sizes.update({f"encoder.hidden[{i}]": h for i, h in enumerate(hidden)})
-        sizes.update({key: meta[key] for key in required[1:]})
-        for key, value in sizes.items():
-            if not _is_int(value):
-                raise TypeError(f"{key} must be an integer, got {value!r}")
+        encoder_cfg = EncoderConfig(**{**meta["encoder"], "hidden": tuple(hidden)})  # checks its own sizes
+        for key in required[1:]:
+            if not _is_int(meta[key]):
+                raise TypeError(f"{key} must be an integer, got {meta[key]!r}")
         num_classes = meta["num_classes"]
         expected = param_shapes(encoder_cfg, num_classes)
         if has_decoupler:

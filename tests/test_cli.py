@@ -296,6 +296,14 @@ class TestEval:
         assert "'head.w' has shape" in capsys.readouterr().err
 
 
+    def test_train_on_an_overflowing_label_is_data_error(self, workdir, config_path, dataset_path, capsys):
+        record = json.loads(dataset_path.read_text().splitlines()[0])
+        data = workdir / "huge-label.jsonl"
+        data.write_text(json.dumps({**record, "label": 10**30}) + "\n")
+        code = run_cli("train", "-c", config_path, "--set", f"data.path={data}", "--out", workdir / "huge")
+        assert code == cli.EXIT_DATA
+        assert f"{data}:1:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", [
         "list-record", "string-coords", "non-integer-label", "non-utf8-jsonl", "non-utf8-array-name",
     ])

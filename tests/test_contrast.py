@@ -23,12 +23,14 @@ from stdcl.contrast import (
     ContrastConfig,
     ContrastSample,
     MemoryBank,
+    MinedRows,
     contrast_losses,
     info_nce,
     info_nce_batch,
     make_banks,
     sample_batch,
     sample_contrast,
+    score_heads,
 )
 from stdcl.data import SyntheticSpec, generate_synthetic
 from stdcl.encoder import EncoderConfig
@@ -48,6 +50,25 @@ def filled_bank(rng, length=20, dim=6, num_labels=3, fill=0.9, name="t"):
         if rng.random() < fill:
             bank.update(i, rng.standard_normal(dim), int(rng.integers(num_labels)))
     return bank
+
+
+def row_samples(mined, height, cfg):
+    """Each score row's ContrastSample from a CSR mining result, None where a row has none."""
+    samples = [None] * height
+    pos_at, neg_at = np.cumsum(mined.pos_counts), np.cumsum(mined.neg_counts)
+    for k, r in enumerate(mined.rows.tolist()):
+        pos = mined.pos[pos_at[k] - mined.pos_counts[k] : pos_at[k]]
+        neg = mined.neg[neg_at[k] - mined.neg_counts[k] : neg_at[k]]
+        hard = min(cfg.n_neg_hard, neg.size)
+        samples[r] = ContrastSample(positives=pos, hard_negatives=neg[:hard], random_negatives=neg[hard:])
+    return samples
+
+
+def one_row(sample, row=0):
+    """`sample` as the CSR mining result of score row `row`."""
+    negatives = sample.negatives
+    return MinedRows(np.array([row]), sample.positives, np.array([sample.positives.size]),
+                     negatives, np.array([negatives.size]))
 
 
 def oracle_sample(bank, anchor, label, anchor_index, cfg, rand_indices=None):
@@ -453,13 +474,19 @@ class TestStep:
         batch = [ds[0], ds[1]]  # same label: each anchor's positives include the other's slot
         assert batch[0].label == batch[1].label
         stale = {name: bank.features.copy() for name, bank in banks.items()}
-        mined = []
-        original_sample = contrast.sample_batch
+        scored, mined = [], []
+        original_score, original_sample = contrast.score_heads, contrast.sample_batch
 
-        def spy_sample(bank, anchors, *args):
-            scores, samples = original_sample(bank, anchors, *args)
-            mined.append((bank.name, bank.features.copy(), np.array(anchors), scores, samples))
-            return scores, samples
+        def spy_score(head_banks, anchors):
+            result = original_score(head_banks, anchors)
+            scored.append(np.array(anchors))
+            return result
+
+        def spy_sample(head_banks, scores, *args):
+            result = original_sample(head_banks, scores, *args)
+            mined.append(([bank.name for bank in head_banks], [bank.features.copy() for bank in head_banks],
+                          scores, row_samples(result, scores.shape[0], cfg)))
+            return result
 
         at_sgd = []
         original_step = optimizer.step
@@ -468,12 +495,16 @@ class TestStep:
             at_sgd.append({name: bank.features.copy() for name, bank in banks.items()})
             original_step(lr)
 
+        monkeypatch.setattr(contrast, "score_heads", spy_score)
         monkeypatch.setattr(contrast, "sample_batch", spy_sample)
         monkeypatch.setattr(optimizer, "step", spy_step)
         record = train_step(batch, model, banks, cfg, optimizer, lr=cfg.learning_rate)
         assert record.skipped_positives == 0
-        assert sorted(name for name, *_ in mined) == ["spatial", "temporal"] and len(at_sgd) == 1
-        for name, features, anchors, scores, samples in mined:
+        assert len(scored) == len(mined) == len(at_sgd) == 1
+        (names, mined_features, all_scores, all_samples), = mined
+        assert sorted(names) == ["spatial", "temporal"]
+        for h, (name, features) in enumerate(zip(names, mined_features)):
+            anchors, scores, samples = (a[2 * h : 2 * h + 2] for a in (scored[0], all_scores, all_samples))
             units = anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
             np.testing.assert_array_equal(features, stale[name])
             assert 1 in samples[0].positives and 0 in samples[1].positives
@@ -490,9 +521,9 @@ class TestStep:
         bank.update(1, [1.0, 0, 0], 0)
         bank.update(2, [0, 1.0, 0], 1)
         before = bank.features.copy()
-        loss, skipped = contrast_losses(bank, Tensor(np.array([[1.0, 1.0, 0.0]])), [0], [0],
-                                        ContrastConfig())
-        assert loss is not None
+        losses, skipped = contrast_losses(banks, {"spatial": Tensor(np.array([[1.0, 1.0, 0.0]]))}, [0], [0],
+                                          ContrastConfig())
+        assert list(losses) == ["spatial"]
         np.testing.assert_array_equal(bank.features, before)
         assert not bank.valid[0]
 
@@ -554,9 +585,11 @@ class TestBatchedPath:
         assert [w is None for w in want] == [False, True, False, True, False]
 
         stacked = Tensor(anchors, requires_grad=True)
-        scores, samples = sample_batch(bank, anchors, labels, indices, cfg, bank.rng)
-        losses, skipped = info_nce_batch(stacked, scores, samples, bank, cfg)
+        scored = score_heads([bank], anchors)
+        mined = sample_batch([bank], scored[2], labels, indices, cfg, [bank.rng])
+        (losses,), skipped = info_nce_batch([stacked], [bank], scored, mined, cfg)
         tz.sum_all(losses).backward()
+        samples = row_samples(mined, len(anchors), cfg)
 
         assert bank.rng.bit_generator.state == ref_rng.bit_generator.state
         for b, (sample, mined) in enumerate(zip(samples, want)):
@@ -608,7 +641,8 @@ class TestBatchedPath:
         want = [reference_mine(bank, a, y, i, cfg, ref_rng)
                 for a, y, i in zip(anchors, labels, indices)]
 
-        scores, samples = sample_batch(bank, anchors, labels, indices, cfg, bank.rng)
+        scores = score_heads([bank], anchors)[2]
+        samples = row_samples(sample_batch([bank], scores, labels, indices, cfg, [bank.rng]), len(anchors), cfg)
 
         pairs_tie = scores[:, 0:48:2] == scores[:, 1:48:2]
         assert pairs_tie[tied_rows].all() and not pairs_tie[[1, 4]].any()
@@ -624,26 +658,27 @@ class TestBatchedPath:
     def test_slot_outside_the_bank_raises(self):
         bank, anchors, labels, indices = self.batch()
         stacked = Tensor(anchors, requires_grad=True)
-        scores = np.zeros((5, bank.length))
+        scored = score_heads([bank], anchors)
         for bad in (bank.length, -1):
             sample = ContrastSample(positives=np.array([1]), hard_negatives=np.array([bad]),
                                     random_negatives=np.array([], dtype=np.int64))
+            mined = one_row(sample, row=1)  # row 1 of five
             with pytest.raises(DimensionError, match="outside"):
-                info_nce_batch(stacked, scores, [None, sample, None, None, None], bank, ContrastConfig())
+                info_nce_batch([stacked], [bank], scored, mined, ContrastConfig())
 
     def test_step_counts_unmined_anchors_as_skipped(self):
         bank, anchors, labels, indices = self.batch()
         cfg = ContrastConfig(n_pos_hard=4, n_neg_hard=3, n_neg_rand=4)
-        losses, skipped = contrast_losses(bank, Tensor(anchors, requires_grad=True), labels, indices, cfg)
-        assert losses.shape == (5,)
+        losses, skipped = contrast_losses({"b": bank}, {"b": Tensor(anchors, requires_grad=True)}, labels, indices, cfg)
+        assert losses["b"].shape == (5,)
         assert skipped == 2
 
     def test_cold_bank_mines_nothing_and_draws_nothing(self):
         bank = MemoryBank(8, 4, name="b", seed=0)
         state = copy.deepcopy(bank.rng.bit_generator.state)
         anchors = Tensor(np.eye(4), requires_grad=True)
-        losses, skipped = contrast_losses(bank, anchors, [0, 1, 0, 1], [0, 1, 2, 3], ContrastConfig())
-        assert losses is None and skipped == 4
+        losses, skipped = contrast_losses({"b": bank}, {"b": anchors}, [0, 1, 0, 1], [0, 1, 2, 3], ContrastConfig())
+        assert losses == {} and skipped == 4
         assert bank.rng.bit_generator.state == state
 
     def test_float32_keeps_anchor_dtype(self):
@@ -651,8 +686,9 @@ class TestBatchedPath:
         cfg = ContrastConfig(n_pos_hard=4, n_neg_hard=3, n_neg_rand=4)
         with tz.using_precision("float32"):
             stacked = Tensor(anchors, requires_grad=True)
-            scores, samples = sample_batch(bank, stacked.data, labels, indices, cfg, bank.rng)
-            losses, _ = info_nce_batch(stacked, scores, samples, bank, cfg)
+            scored = score_heads([bank], stacked.data)
+            mined = sample_batch([bank], scored[2], labels, indices, cfg, [bank.rng])
+            (losses,), _ = info_nce_batch([stacked], [bank], scored, mined, cfg)
             tz.sum_all(losses).backward()
         assert losses.data.dtype == np.float32
         assert stacked.grad.dtype == np.float32
@@ -661,9 +697,8 @@ class TestBatchedPath:
         bank, anchors, labels, indices = self.batch()
         anchors[2] = 0.0
         stacked = Tensor(anchors, requires_grad=True)
-        scores = np.zeros((5, bank.length))
         with pytest.raises(NumericError, match="degenerate"):
-            info_nce_batch(stacked, scores, [None] * 5, bank, ContrastConfig())
+            contrast_losses({"b": bank}, {"b": stacked}, labels, indices, ContrastConfig())
 
 
 def per_row_loss(row, sample, cfg):
@@ -748,7 +783,10 @@ def test_batch_equals_batches_of_one(seed, length, num_labels, duplicates, batch
     one_rng, oracle_rng = copy.deepcopy(bank.rng), copy.deepcopy(bank.rng)
     one_by_one = [sample_contrast(bank, a, y, i, cfg, one_rng) for a, y, i in zip(anchors, labels, indices)]
     oracle = [reference_mine(bank, a, y, i, cfg, oracle_rng) for a, y, i in zip(anchors, labels, indices)]
-    scores, samples = sample_batch(bank, anchors, labels, indices, cfg, bank.rng)
+    scored = score_heads([bank], anchors)
+    units, norms, scores = scored
+    rows_mined = sample_batch([bank], scores, labels, indices, cfg, [bank.rng])
+    samples = row_samples(rows_mined, batch, cfg)
 
     assert bank.rng.bit_generator.state == one_rng.bit_generator.state == oracle_rng.bit_generator.state
     for got, want, mined in zip(samples, one_by_one, oracle):
@@ -761,15 +799,18 @@ def test_batch_equals_batches_of_one(seed, length, num_labels, duplicates, batch
         assert tuple(lists) == mined
     for form in LOSS_FORMS:
         form_cfg = dataclasses.replace(cfg, loss_form=form)
-        losses, skipped = info_nce_batch(Tensor(anchors), scores, samples, bank, form_cfg)
+        (losses,), skipped = info_nce_batch([Tensor(anchors)], [bank], scored, rows_mined, form_cfg)
         for b, sample in enumerate(samples):
-            single, single_skipped = info_nce_batch(
-                Tensor(anchors[b : b + 1]), scores[b : b + 1], [sample], bank, form_cfg
+            if sample is None:
+                assert losses.data[b] == 0.0 and skipped[b] == 0
+                continue
+            (single,), single_skipped = info_nce_batch(
+                [Tensor(anchors[b : b + 1])], [bank], (units[b : b + 1], norms[b : b + 1], scores[b : b + 1]),
+                one_row(sample), form_cfg,
             )
             assert losses.data[b] == single.data[0]
             assert skipped[b] == single_skipped[0]
-            if sample is not None:
-                assert (losses.data[b], skipped[b]) == per_row_loss(scores[b], sample, form_cfg)
+            assert (losses.data[b], skipped[b]) == per_row_loss(scores[b], sample, form_cfg)
 
 
 class TestInstrumentation:
@@ -780,3 +821,106 @@ class TestInstrumentation:
         train_step(batch, model, banks, cfg, optimizer, lr=cfg.learning_rate)
         assert instrumentation.count("bank_reads") == 2 * len(batch)
         assert instrumentation.count("bank_writes") == 2 * len(batch)
+
+
+def two_head_banks(rng, length, fill, ties):
+    """Spatial and temporal banks with the same labels and valid slots, as one fit writes them.
+
+    `fill` is the chance that a slot is written (0: empty, 1: full).  With
+    `ties`, some slots copy another slot's row, so their scores tie exactly.
+    """
+    banks = make_banks(length, 5, seed=int(rng.integers(2**31)))
+    for i in range(length):
+        if rng.random() < fill:
+            label = int(rng.integers(3))
+            for bank in banks.values():
+                bank.update(i, rng.standard_normal(5), label)
+    written = np.flatnonzero(banks["spatial"].valid)
+    for dst in (written[1::2] if ties and written.size > 1 else []):
+        for bank in banks.values():
+            bank.features[dst] = bank.features[written[0]]
+    return banks
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    length=st.integers(2, 30),
+    fill=st.sampled_from([0.0, 0.5, 1.0]),
+    ties=st.booleans(),
+    batch=st.integers(1, 6),
+    n_pos_hard=st.integers(1, 6),
+    n_neg_hard=st.integers(0, 8),
+    n_neg_rand=st.integers(0, 8),
+    form=st.sampled_from(LOSS_FORMS),
+)
+def test_two_heads_equal_two_one_head_calls(seed, length, fill, ties, batch, n_pos_hard, n_neg_hard,
+                                            n_neg_rand, form):
+    """One two-head pass gives, bit for bit, the losses, anchor gradients, skip
+    counts and rng states of one call per head."""
+    if n_neg_hard + n_neg_rand == 0:
+        n_neg_rand = 1
+    rng = np.random.default_rng(seed)
+    banks = two_head_banks(rng, length, fill, ties)
+    single_banks = copy.deepcopy(banks)
+    anchors = {name: rng.standard_normal((batch, 5)) for name in banks}
+    written = np.flatnonzero(banks["spatial"].valid)
+    for name, rows in anchors.items():  # some anchors copy a bank row: more exact ties
+        for b in range(batch):
+            if written.size and rng.random() < 0.3:
+                rows[b] = 3.0 * banks[name].features[rng.choice(written)]
+    labels = rng.integers(3, size=batch).tolist()
+    indices = rng.integers(length, size=batch).tolist()
+    cfg = ContrastConfig(tau=0.5, n_pos_hard=n_pos_hard, n_neg_hard=n_neg_hard, n_neg_rand=n_neg_rand,
+                         loss_form=form)
+
+    both = {name: Tensor(rows, requires_grad=True) for name, rows in anchors.items()}
+    losses, skipped = contrast_losses(banks, both, labels, indices, cfg)
+    if losses:
+        total = None
+        for head in losses.values():
+            total = tz.sum_all(head) if total is None else tz.add(total, tz.sum_all(head))
+        total.backward()
+    single_skipped = 0
+    for name, rows in anchors.items():
+        alone = Tensor(rows, requires_grad=True)
+        head_losses, head_skipped = contrast_losses({name: single_banks[name]}, {name: alone}, labels, indices, cfg)
+        single_skipped += head_skipped
+        assert (name in losses) == (name in head_losses)
+        if name in losses:
+            tz.sum_all(head_losses[name]).backward()
+            np.testing.assert_array_equal(losses[name].data, head_losses[name].data)
+            np.testing.assert_array_equal(both[name].grad, alone.grad)
+        assert banks[name].rng.bit_generator.state == single_banks[name].rng.bit_generator.state
+    assert skipped == single_skipped
+
+
+@pytest.mark.parametrize("field", ["labels", "valid"])
+def test_heads_whose_slots_disagree_raise(field):
+    banks = two_head_banks(np.random.default_rng(4), length=12, fill=0.6, ties=False)
+    free = int(np.flatnonzero(~banks["temporal"].valid)[0])
+    if field == "labels":
+        slot = int(np.flatnonzero(banks["temporal"].valid)[0])
+        banks["temporal"].labels[slot] += 1
+    else:
+        banks["temporal"].update(free, np.ones(5), 0)
+    anchors = {name: Tensor(np.ones((2, 5))) for name in banks}
+    with pytest.raises(BankIntegrityError, match="disagree"):
+        contrast_losses(banks, anchors, [0, 1], [0, 1], ContrastConfig())
+
+
+def test_a_step_normalizes_each_anchor_once(monkeypatch):
+    ds, model, banks, cfg, optimizer = stale_training_state()
+    batch = list(ds)[: cfg.batch_size]
+    normalized = []
+    original = contrast._unit_rows
+
+    def spy(anchors):
+        normalized.append(np.shape(anchors))
+        return original(anchors)
+
+    monkeypatch.setattr(contrast, "_unit_rows", spy)
+    instrumentation.reset()
+    train_step(batch, model, banks, cfg, optimizer, lr=cfg.learning_rate)
+    assert normalized == [(2 * len(batch), cfg.embed_dim)]
+    assert instrumentation.count("bank_reads") == 2 * len(batch)

@@ -208,6 +208,30 @@ class TestFileFormats:
         with pytest.raises(DataFormatError, match="expected 12"):
             load_dataset(str(path))
 
+    @pytest.mark.parametrize("field, value", [
+        ("label", True),
+        ("label", 10**30),
+        ("label", -1),
+        ("joints", "2"),
+        ("frames", 2.0),
+        ("joints", 0),
+        ("index", 0.9),
+        ("index", 2**31),
+        ("coords", ["0"] * 12),
+        ("coords", [0.0] * 11 + [False]),
+        ("coords", [[0.0] * 3] * 4),
+        ("coords", [0.0] * 11 + [None]),
+        ("coords", [0.0] * 11 + [True]),
+        ("coords", [0.0] * 11 + [{}]),
+        ("coords", "0" * 12),
+    ])
+    def test_jsonl_fields_must_be_json_integers_and_numbers(self, tmp_path, field, value):
+        record = {"index": 0, "label": 0, "joints": 2, "frames": 2, "coords": [0.0] * 12, field: value}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(DataFormatError, match=":1"):
+            load_dataset(str(path))
+
     def test_round9_matches_python_round_bit_for_bit(self):
         rng = np.random.default_rng(11)
         odd = rng.integers(-2**20, 2**20, size=2000) * 2 + 1
@@ -364,3 +388,90 @@ def test_json_arrays_match_json_dumps(values):
     one_row = np.array([values])
     assert _json_arrays(one_row) == [json.dumps([round(float(v), 9) for v in values])]
     assert _json_arrays(one_row.T) == [json.dumps([round(float(v), 9)]) for v in values]
+
+
+_number = st.one_of(st.floats(-1e3, 1e3), st.integers(-10, 10))
+_non_number = st.one_of(st.booleans(), st.none(), st.text(max_size=3), st.lists(_number, max_size=2), st.just({}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coords=st.lists(_number, min_size=12, max_size=12),
+       intruder=st.none() | st.tuples(st.integers(0, 11), _non_number),
+       extra=st.dictionaries(st.text(max_size=4), _number | _non_number, max_size=2), extra_first=st.booleans())
+def test_jsonl_coords_load_exactly_when_all_are_numbers(tmp_path_factory, coords, intruder, extra, extra_first):
+    """Whatever other fields a record carries, and wherever they sit, only numeric coords load."""
+    if intruder is not None:
+        coords[intruder[0]] = intruder[1]
+    fields = {"index": 0, "label": 0, "joints": 2, "frames": 2, "coords": coords}
+    extra = {k: v for k, v in extra.items() if k not in fields}
+    path = tmp_path_factory.mktemp("coords") / "d.jsonl"
+    path.write_text(json.dumps({**extra, **fields} if extra_first else {**fields, **extra}) + "\n")
+    if intruder is None:
+        np.testing.assert_array_equal(load_dataset(str(path))[0].coords.reshape(-1), coords)
+    else:
+        with pytest.raises(DataFormatError, match=":1"):
+            load_dataset(str(path))
+
+
+@pytest.fixture(scope="module")
+def dataset_files(tmp_path_factory):
+    """The bytes of one small dataset in each file format."""
+    ds = generate_synthetic(SyntheticSpec(joints=2, frames=4, num_spatial=2, num_temporal=1, per_class=2), seed=5)
+    blobs = {}
+    for fmt, name in (("jsonl", "d.jsonl"), ("binary", "d.skl")):
+        path = tmp_path_factory.mktemp("fuzz") / name
+        save_dataset(ds, str(path), fmt)
+        blobs[fmt] = path.read_bytes()
+    return blobs
+
+
+def load_or_data_error(tmp_path_factory, blob: bytes) -> None:
+    """Loading `blob` returns a dataset or raises DataFormatError, nothing else."""
+    path = tmp_path_factory.mktemp("damaged") / "d.dat"
+    path.write_bytes(blob)
+    try:
+        load_dataset(str(path))
+    except DataFormatError:
+        pass
+
+
+FORMATS = st.sampled_from(["jsonl", "binary"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(fmt=FORMATS, keep=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_dataset_loads_or_raises_data_error(dataset_files, tmp_path_factory, fmt, keep):
+    blob = dataset_files[fmt]
+    load_or_data_error(tmp_path_factory, blob[: int(keep * len(blob))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(fmt=FORMATS, flips=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 7)),
+                                   min_size=1, max_size=4))
+def test_bit_flipped_dataset_loads_or_raises_data_error(dataset_files, tmp_path_factory, fmt, flips):
+    blob = bytearray(dataset_files[fmt])
+    for at, bit in flips:
+        blob[int(at * len(blob))] ^= 1 << bit
+    load_or_data_error(tmp_path_factory, bytes(blob))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fmt=FORMATS, at=st.floats(0.0, 1.0, exclude_max=True), key=st.sampled_from(
+    ["index", "label", "joints", "frames", "coords"]))
+def test_dataset_with_a_dropped_field_raises_data_error(dataset_files, tmp_path_factory, fmt, at, key):
+    """JSONL: one record loses a key.  SKL1: one 4-byte field (a header value, label or index) is cut out."""
+    blob = dataset_files[fmt]
+    if fmt == "jsonl":
+        lines = blob.decode().splitlines()
+        line = int(at * len(lines))
+        record = json.loads(lines[line])
+        del record[key]
+        lines[line] = json.dumps(record)
+        blob = ("\n".join(lines) + "\n").encode()
+    else:
+        field = 1 + int(at * (len(blob) // 4 - 1))  # any 4-byte word after the magic
+        blob = blob[: 4 * field] + blob[4 * field + 4 :]
+    path = tmp_path_factory.mktemp("dropped") / "d.dat"
+    path.write_bytes(blob)
+    with pytest.raises(DataFormatError):
+        load_dataset(str(path))

@@ -38,6 +38,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="stride"):
             tiny_cfg(temporal_stride=0)
 
+    @pytest.mark.parametrize("changes, name", [
+        ({"hidden": (2.5,)}, r"hidden\[0\]"),
+        ({"hidden": (4, True)}, r"hidden\[1\]"),
+        ({"hidden": ("4",)}, r"hidden\[0\]"),
+        ({"temporal_stride": True}, "temporal_stride"),
+        ({"channels": 8.0}, "channels"),
+        ({"kernel_size": 3.0}, "kernel_size"),
+        ({"joints": np.int64(3)}, "joints"),
+        ({"frames": "8"}, "frames"),
+    ])
+    def test_sizes_must_be_python_ints(self, changes, name):
+        with pytest.raises(ConfigError, match=f"encoder.{name} must be an integer"):
+            tiny_cfg(**changes)
+
 
 class TestInit:
     def test_parameter_names_and_shapes_fixed_mixing(self):
