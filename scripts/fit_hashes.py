@@ -8,9 +8,12 @@ For each workload of `benchmarks/workloads.py`, takes the train set that
 the benchmark's set-up (`bench.set_up`) generates at seed 1, writes and
 reads back, then fits it with the framework on and off for each `--epochs`
 count.  Prints one JSON object, one digest per line: the sha256 of each
-fit's metrics CSV and checkpoint, and of each memory bank's features,
-labels, valid mask and `bit_generator.state`.  Run it in two checkouts and
-`diff` the outputs to show that a change keeps every bit.
+fit's metrics CSV and checkpoint and, for a framework-on fit, of each
+memory bank's features, labels, valid mask and `bit_generator.state`, of
+the eval set's `predict_logits`, and of `embedding_report`'s spatial and
+temporal arrays and its two silhouettes over the train set.  Run it in two
+checkouts and `diff` the outputs to show that a change keeps every bit,
+on the training path and on the test-time paths.
 
 The program is imported from `src/` of the checkout this file sits in.
 """
@@ -24,6 +27,8 @@ import json
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmarks")]
@@ -44,7 +49,7 @@ def file_sha256(path: str) -> str:
         return sha256(f.read())
 
 
-def fit_digests(workload, train_ds, framework: bool, epochs: int, workdir: str) -> dict:
+def fit_digests(workload, train_ds, eval_ds, framework: bool, epochs: int, workdir: str) -> dict:
     cfg = dataclasses.replace(workload.train_config(SEED, framework), epochs=epochs)
     result = train.fit(train_ds, workload.encoder, cfg, out_dir=workdir)
     digests = {"metrics_csv": file_sha256(result.metrics_path), "checkpoint": file_sha256(result.checkpoint_path)}
@@ -53,6 +58,14 @@ def fit_digests(workload, train_ds, framework: bool, epochs: int, workdir: str) 
         digests[f"{name}.labels"] = sha256(bank.labels.tobytes())
         digests[f"{name}.valid"] = sha256(bank.valid.tobytes())
         digests[f"{name}.rng_state"] = sha256(json.dumps(bank.rng.bit_generator.state, sort_keys=True).encode())
+    if framework:
+        logits = [train.predict_logits(result.model, seq.coords) for seq in eval_ds.sequences]
+        digests["eval.logits"] = sha256(np.stack(logits).tobytes())
+        report = train.embedding_report(result.model, train_ds)
+        digests["embedding.spatial"] = sha256(report.spatial.tobytes())
+        digests["embedding.temporal"] = sha256(report.temporal.tobytes())
+        digests["embedding.silhouette_spatial"] = sha256(float(report.silhouette_spatial).hex().encode())
+        digests["embedding.silhouette_temporal"] = sha256(float(report.silhouette_temporal).hex().encode())
     return digests
 
 
@@ -68,12 +81,12 @@ def main(argv=None) -> int:
             workload = WORKLOADS[name]
             setup_dir = os.path.join(tmp, name)
             os.mkdir(setup_dir)
-            train_ds = bench.set_up(workload, SEED, setup_dir, bench.Clock())[0][0]
+            train_ds, eval_ds = bench.set_up(workload, SEED, setup_dir, bench.Clock())[0]
             for epochs in args.epochs or [1, 3]:
                 for framework in (True, False):
                     key = f"{name}/{'on' if framework else 'off'}/{epochs}"
                     workdir = os.path.join(tmp, key.replace("/", "-"))
-                    digests[key] = fit_digests(workload, train_ds, framework, epochs, workdir)
+                    digests[key] = fit_digests(workload, train_ds, eval_ds, framework, epochs, workdir)
     print(json.dumps(digests, indent=1, sort_keys=True))
     return 0
 

@@ -284,7 +284,8 @@ def sample_batch(banks: list, scores: np.ndarray, labels, indices, cfg: Contrast
         n_rand = min(n_rand_max, n1 - n0 - hard)
         neg.append(neg_flat[n0 : n0 + hard])
         if n_rand:
-            neg.append(rngs[r // count].choice(neg_flat[n0 + hard : n1], size=n_rand, replace=False))
+            # an int pool takes the draws and rng state of the pool array's choice, without the slice
+            neg.append(neg_flat[n0 + hard + rngs[r // count].choice(n1 - n0 - hard, size=n_rand, replace=False)])
         rows.append(r)
         pos_counts.append(pos[-1].size)
         neg_counts.append(hard + n_rand)
@@ -303,11 +304,18 @@ def sample_contrast(
 
 
 def _segment_sums(values: np.ndarray, bounds: list) -> np.ndarray:
-    """Sum of each values[bounds[i]:bounds[i + 1]], one ``np.sum`` per segment.
+    """Sum of each values[bounds[i]:bounds[i + 1]], as ``np.sum`` adds it.
 
-    ``np.add.reduceat`` would add each segment sequentially rather than
-    pairwise and change the last bits of the sums.
+    Segments of one length are the rows of a reshape, summed by one
+    ``sum(axis=1)``: each row of a contiguous 2-d array is added pairwise,
+    as ``np.sum`` adds the segment.  Ragged segments take one ``np.sum``
+    each.  ``np.add.reduceat`` would add each segment sequentially rather
+    than pairwise and change the last bits of the sums.
     """
+    segments = len(bounds) - 1
+    width = bounds[-1] // segments if segments else 0
+    if segments and bounds == [width * i for i in range(segments + 1)]:
+        return values.reshape(segments, width).sum(axis=1)
     return np.array([values[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
 
 
@@ -319,7 +327,7 @@ def _nce_node(anchors: Tensor, bank: MemoryBank, losses, units, norms, d_scores)
         if anchors.requires_grad:
             d_units = (d_scores * g[:, None]) @ bank.features
             radial = np.sum(units * d_units, axis=1, keepdims=True)
-            anchors._accumulate(((d_units - units * radial) / norms[:, None]).astype(dtype))
+            anchors._accumulate(((d_units - units * radial) / norms[:, None]).astype(dtype), owned=True)
 
     return tz._make(losses.astype(dtype), (anchors,), backward, "info_nce_batch")
 

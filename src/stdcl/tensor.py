@@ -6,8 +6,12 @@ topological order.  Broadcasting goes only as far as a leading batch axis
 needs: `matmul` of a 2-d operand against a batched one, `add` of an operand
 shaped like the other's trailing axes, and scalar operands.  No views.
 
-A backward pass writes each gradient once: a tensor's first gradient is
-copied into .grad and later ones are added to it (`Tensor._accumulate`).
+A backward pass writes each gradient once: a tensor's first gradient
+becomes .grad and later ones are added to it (`Tensor._accumulate`).  A
+rule that computed its gradient itself hands it over without a copy
+(`matmul`, `temporal_conv`, `relu`, `scalar_mul`, `softmax_cross_entropy`
+and the contrast heads); a rule whose gradient is shared, a view or a
+broadcast (`add`, `reshape`, the reductions, `gather1d`) has it copied.
 
 Precision (float64 for gradient-check builds, float32 for training runs)
 and checked mode are process-wide switches, not per-tensor properties.
@@ -23,6 +27,7 @@ it was made, so their results are not scanned again.
 from __future__ import annotations
 
 import ctypes
+import math
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -170,23 +175,29 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
         """Add g (broadcastable to this tensor's shape) into .grad.
 
-        The first gradient is written by copy, broadcast and cast to this
-        tensor's dtype, instead of being added to zeros; later ones are added
-        in place.  The copy is needed: g may be a view, or a buffer that
-        another node also receives (`add` hands the same g to both operands).
-        Unlike zeros + g, the copy keeps the sign of a zero: relu's
-        `g * mask` hands over -0.0 where a negative g is masked, and .grad
-        holds -0.0 there.  Only .grad shows it; an SGD step adds it to a
-        +0.0 velocity, which stays +0.0.
+        The first gradient is written instead of being added to zeros; later
+        ones are added in place.  A rule passes owned=True for a g it
+        computed itself and that no other node holds: if g is an array of
+        this tensor's shape and dtype it becomes .grad, with no copy (a
+        0-d product can come back as a numpy scalar).  Otherwise the first
+        g is copied, broadcast and cast to this tensor's dtype.  The copy is
+        needed when g may be a view, or a buffer that another node also
+        receives (`add` hands the same g to both operands).  Unlike
+        zeros + g, either write keeps the sign of a zero: relu's `g * mask`
+        hands over -0.0 where a negative g is masked, and .grad holds -0.0
+        there.  Only .grad shows it; an SGD step adds it to a +0.0 velocity,
+        which stays +0.0.
         """
-        if self.grad is None:
+        if self.grad is not None:
+            self.grad += g
+        elif owned and isinstance(g, np.ndarray) and g.shape == self.data.shape and g.dtype == self.data.dtype:
+            self.grad = g
+        else:
             self.grad = np.empty_like(self.data)
             np.copyto(self.grad, g)
-        else:
-            self.grad += g
 
     def backward(self) -> None:
         """Run the tape backward from this scalar, accumulating into .grad."""
@@ -227,7 +238,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 def _scan(data: np.ndarray, op: str, what: str) -> None:
     """Checked mode's one finiteness scan of a value, where `op` computed it."""
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericError(f"{op}: non-finite value in {what}")
 
 
@@ -269,9 +280,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(_sum_to_rank(g @ np.swapaxes(b.data, -1, -2), a.data.ndim))
+            a._accumulate(_sum_to_rank(g @ b.data.swapaxes(-1, -2), a.data.ndim), owned=True)
         if b.requires_grad:
-            b._accumulate(_sum_to_rank(np.swapaxes(a.data, -1, -2) @ g, b.data.ndim))
+            b._accumulate(_sum_to_rank(a.data.swapaxes(-1, -2) @ g, b.data.ndim), owned=True)
 
     return _make(out_data, (a, b), backward, "matmul")
 
@@ -324,7 +335,7 @@ def scalar_mul(x: Tensor, c: float) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(g * c)
+            x._accumulate(g * c, owned=True)
 
     return _make(x.data * c, (x,), backward, "scalar_mul")
 
@@ -383,7 +394,7 @@ def relu(x: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(g * mask)
+            x._accumulate(g * mask, owned=True)
 
     return _make(x.data * mask, (x,), backward, "relu")
 
@@ -394,7 +405,7 @@ def relu(x: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.size:
+    if math.prod(shape) != x.size:
         raise DimensionError(f"reshape: cannot view {x.shape} as {shape}")
     old_shape = x.shape
 
@@ -448,13 +459,16 @@ def sum_over_axes(x: Tensor, axes) -> Tensor:
 
 def mean_over_axes(x: Tensor, axes) -> Tensor:
     axes = _validate_axes(x, axes, "mean_over_axes")
-    count = int(np.prod([x.shape[a] for a in axes], dtype=np.int64))
+    count = math.prod(x.shape[a] for a in axes)
+    kept = tuple(1 if a in axes else n for a, n in enumerate(x.shape))
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(np.expand_dims(g / count, axes))  # broadcast by _accumulate
+            x._accumulate((g / count).reshape(kept))  # broadcast by _accumulate
 
-    return _make(x.data.mean(axis=axes), (x,), backward, "mean_over_axes")
+    # ndarray.mean's sum and division; a float32 quotient by a Python int
+    # equals its float64 quotient rounded to float32
+    return _make(np.add.reduce(x.data, axis=axes) / count, (x,), backward, "mean_over_axes")
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -493,7 +507,7 @@ def softmax_cross_entropy(logits: Tensor, target) -> Tensor:
         if logits.requires_grad:
             d = probs.copy()
             d[picked] -= 1.0
-            logits._accumulate((d * np.reshape(g, (-1, 1))).reshape(logits.shape))
+            logits._accumulate((d * np.reshape(g, (-1, 1))).reshape(logits.shape), owned=True)
 
     out = np.asarray(loss.reshape(targets.shape), dtype=active_dtype())
     return _make(out, (logits,), backward, "softmax_cross_entropy")
@@ -581,15 +595,15 @@ def temporal_conv(
     def backward(g: np.ndarray) -> None:
         g2 = g.reshape(-1, c_out)
         if bias.requires_grad:
-            bias._accumulate(g2.sum(axis=0))
+            bias._accumulate(g2.sum(axis=0), owned=True)
         if w.requires_grad:
-            w._accumulate((cols.T @ g2).reshape(k, c_in, c_out))
+            w._accumulate((cols.T @ g2).reshape(k, c_in, c_out), owned=True)
         if x.requires_grad:
             dsrc = np.zeros_like(src)
             for d in range(k):
                 g_d = g @ w.data[d].T
                 for rows, frames_read in _tap_runs(int(idx[0, d]), stride, t_out, src.shape[2]):
                     dsrc[:, :, frames_read, :] += g_d[:, :, rows, :]
-            x._accumulate(dsrc[:, :, pad : pad + frames, :] if padding == "zero" else dsrc)
+            x._accumulate(dsrc[:, :, pad : pad + frames, :] if padding == "zero" else dsrc, owned=True)
 
     return _make(out_data.reshape(batch, joints, t_out, c_out), (x, w, bias), backward, "temporal_conv")

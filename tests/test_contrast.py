@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stdcl import contrast, instrumentation
@@ -559,6 +559,53 @@ def reference_loss(bank, anchor, mined, cfg):
     kept = [p for p in pos if p > 0.0]
     loss = -sum(math.log(p / max(p + sum(neg), LITERAL_CLAMP)) for p in kept)
     return loss, len(pos) - len(kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    length=st.integers(2, 60),
+    batch=st.integers(1, 6),
+    n_neg_hard=st.integers(0, 10),
+    n_neg_rand=st.integers(1, 40),
+)
+def test_random_negatives_are_rng_choice_on_the_pool(seed, length, batch, n_neg_hard, n_neg_rand):
+    """Each row's random negatives, and the rng state after them, are those of
+    `rng.choice` on the array of the row's remaining negatives."""
+    rng = np.random.default_rng(seed)
+    bank = filled_bank(rng, length=length, dim=5, num_labels=3, fill=0.8)
+    anchors = rng.standard_normal((batch, 5))
+    labels = rng.integers(3, size=batch).tolist()
+    indices = rng.integers(length, size=batch).tolist()
+    cfg = ContrastConfig(n_pos_hard=3, n_neg_hard=n_neg_hard, n_neg_rand=n_neg_rand)
+    ref_rng = copy.deepcopy(bank.rng)
+    want = [reference_mine(bank, a, y, i, cfg, ref_rng) for a, y, i in zip(anchors, labels, indices)]
+    mined = sample_batch([bank], score_heads([bank], anchors)[2], labels, indices, cfg, [bank.rng])
+    for sample, ref in zip(row_samples(mined, batch, cfg), want):
+        assert (sample is None) == (ref is None)
+        if sample is not None:
+            assert sample.random_negatives.tolist() == ref[2]
+    assert bank.rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    counts=st.one_of(
+        st.tuples(st.integers(1, 4), st.integers(0, 9000)).map(lambda nw: [nw[1]] * nw[0]),  # one length
+        st.lists(st.integers(0, 300), max_size=8),  # ragged, with zero-length segments
+    ),
+    dtype=st.sampled_from([np.float64, np.float32]),
+)
+@example(seed=1, counts=[8193, 8193, 8193], dtype=np.float64)
+@example(seed=2, counts=[0, 0, 0], dtype=np.float32)
+def test_segment_sums_are_per_segment_np_sum_bit_for_bit(seed, counts, dtype):
+    values = (np.random.default_rng(seed).standard_normal(sum(counts)) * 100.0).astype(dtype)
+    bounds = contrast._bounds(counts)
+    got = contrast._segment_sums(values, bounds)
+    assert got.shape == (len(counts),)
+    want = [np.sum(values[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
 class TestBatchedPath:

@@ -1,5 +1,6 @@
 """Tensor-core semantics: forward values, backward rules, error contracts."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -12,9 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stdcl.tensor as tz
+from stdcl.contrast import make_banks
+from stdcl.data import SyntheticSpec, generate_synthetic
+from stdcl.encoder import EncoderConfig
 from stdcl.errors import DimensionError, DomainError, NumericError
 from stdcl.tensor import Tensor
-from stdcl.train import SGD
+from stdcl.train import SGD, TrainConfig, build_model, train_step
 
 
 def grad_of(fn, *arrays):
@@ -321,6 +325,84 @@ class TestBackward:
         reduce(x).backward()
         assert x.grad.flags.owndata and x.grad.flags.writeable and x.grad.shape == (2, 3)
         x.grad += 1.0
+
+    def test_an_owned_gradient_is_taken_without_a_copy(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        g = np.full((2, 3), 2.0)
+        x._accumulate(g, owned=True)
+        assert x.grad is g
+        x._accumulate(np.ones((2, 3)), owned=True)
+        assert x.grad is g
+        np.testing.assert_array_equal(g, np.full((2, 3), 3.0))
+
+    def test_an_owned_gradient_of_another_dtype_or_shape_is_copied(self):
+        with tz.using_precision("float32"):
+            x = Tensor(np.ones(3), requires_grad=True)
+            y = Tensor(np.ones((2, 3)), requires_grad=True)
+        g = np.full(3, 1.0 + 2.0**-40)  # a float64 gradient
+        x._accumulate(g, owned=True)
+        assert x.grad.dtype == np.float32 and not np.shares_memory(x.grad, g)
+        np.testing.assert_array_equal(x.grad, np.ones(3, dtype=np.float32))
+        row = np.ones(3, dtype=np.float32)  # broadcast to y's shape
+        y._accumulate(row, owned=True)
+        assert y.grad.shape == (2, 3) and not np.shares_memory(y.grad, row)
+        z = Tensor(2.0, requires_grad=True)
+        tz.scalar_mul(z, 3.0).backward()  # g * c of a 0-d g is a numpy scalar
+        assert isinstance(z.grad, np.ndarray) and z.grad.shape == () and z.grad == 3.0
+
+    @pytest.mark.parametrize("padding", tz.PADDING_MODES)
+    def test_no_two_gradients_share_memory_after_a_training_step(self, monkeypatch, padding):
+        # add hands one g to both operands, and temporal_conv hands over a
+        # slice of its padded buffer: each tensor must still own its .grad
+        spec = SyntheticSpec(joints=4, frames=8, num_spatial=2, num_temporal=2, per_class=3, noise_std=0.05)
+        ds = generate_synthetic(spec, seed=0)
+        encoder = EncoderConfig(joints=4, frames=8, channels=8, hidden=(4,), kernel_size=3,
+                                joint_mixing="learned", temporal_padding=padding)
+        cfg = TrainConfig(batch_size=4, embed_dim=6, reduction=2, n_pos_hard=2, n_neg_hard=2, n_neg_rand=2,
+                          lambda_spatial=0.5)
+        model = build_model(encoder, ds.num_classes, cfg)
+        banks = make_banks(len(ds), cfg.embed_dim, seed=cfg.seed)
+        rng = np.random.default_rng(1)
+        for seq in ds:
+            for bank in banks.values():
+                bank.update(seq.index, rng.standard_normal(cfg.embed_dim), seq.label)
+        roots = []
+        original = Tensor.backward
+
+        def recorded(root):
+            roots.append(root)
+            return original(root)
+
+        monkeypatch.setattr(Tensor, "backward", recorded)
+        opt = SGD(model.named_tensors(), cfg.momentum, cfg.weight_decay)
+        record = train_step(list(ds)[:4], model, banks, cfg, opt, lr=cfg.learning_rate)
+        assert record.loss_spatial > 0.0 and record.loss_temporal > 0.0
+        (root,) = roots
+        nodes = tz._toposort(root)
+        ops = {node._op for node in nodes}
+        assert {"add", "scalar_mul", "relu", "matmul", "temporal_conv", "info_nce_batch"} <= ops
+        grads = [node.grad for node in nodes if node.grad is not None]
+        assert len(grads) > 20
+        for a, b in itertools.combinations(grads, 2):
+            assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_mean_over_axes_is_ndarray_mean_bit_for_bit(self, precision):
+        rng = np.random.default_rng(6)
+        data = rng.standard_normal((3, 5, 7, 6)) * 10.0
+        with tz.using_precision(precision):
+            for r in range(1, 5):
+                for axes in itertools.combinations(range(4), r):
+                    x = Tensor(data, requires_grad=True)
+                    out = tz.mean_over_axes(x, axes)
+                    want = x.data.mean(axis=axes)
+                    assert np.asarray(out.data).dtype == x.data.dtype
+                    assert np.asarray(out.data).tobytes() == np.asarray(want).tobytes(), axes
+                    g = rng.standard_normal(np.shape(want)).astype(x.data.dtype)
+                    out._backward_fn(g)
+                    count = math.prod(data.shape[a] for a in axes)
+                    expected = np.broadcast_to(np.expand_dims(g / count, axes), data.shape)
+                    assert x.grad.dtype == x.data.dtype and x.grad.tobytes() == expected.tobytes(), axes
 
 
 def _fancy_index_input_grad(g, w, frames, stride, padding):
