@@ -10,7 +10,8 @@ reads back, then fits it with the framework on and off for each `--epochs`
 count.  Prints one JSON object, one digest per line: the sha256 of each
 fit's metrics CSV and checkpoint and, for a framework-on fit, of each
 memory bank's features, labels, valid mask and `bit_generator.state`, of
-the eval set's `predict_logits`, and of `embedding_report`'s spatial and
+the eval set's `predict_logits`, of `evaluate`'s accuracy and per-class
+accuracies on the eval set, and of `embedding_report`'s spatial and
 temporal arrays and its two silhouettes over the train set.  Run it in two
 checkouts and `diff` the outputs to show that a change keeps every bit,
 on the training path and on the test-time paths.
@@ -61,6 +62,9 @@ def fit_digests(workload, train_ds, eval_ds, framework: bool, epochs: int, workd
     if framework:
         logits = [train.predict_logits(result.model, seq.coords) for seq in eval_ds.sequences]
         digests["eval.logits"] = sha256(np.stack(logits).tobytes())
+        evaluated = train.evaluate(result.model, eval_ds)
+        digests["eval.accuracy"] = sha256(float(evaluated.accuracy).hex().encode())
+        digests["eval.per_class"] = sha256(evaluated.per_class.tobytes())
         report = train.embedding_report(result.model, train_ds)
         digests["embedding.spatial"] = sha256(report.spatial.tobytes())
         digests["embedding.temporal"] = sha256(report.temporal.tobytes())

@@ -10,8 +10,8 @@ CLI (`cli`).
 
 from .contrast import ContrastConfig, ContrastSample, MemoryBank, info_nce, sample_contrast
 from .data import SkeletonDataset, SkeletonSequence, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
-from .decoupling import DecouplerParams, EmbeddingPair, decouple, init_decoupler
-from .encoder import EncoderConfig, classify, encode, init_params, test_forward
+from .decoupling import decouple, init_decoupler
+from .encoder import EncoderConfig, classify, encode, init_params
 from .errors import (
     BankIntegrityError,
     ConfigError,
@@ -33,11 +33,9 @@ __all__ = [
     "ContrastConfig",
     "ContrastSample",
     "DataFormatError",
-    "DecouplerParams",
     "DegenerateVectorError",
     "DimensionError",
     "DomainError",
-    "EmbeddingPair",
     "EncoderConfig",
     "EvalReport",
     "MemoryBank",
@@ -63,6 +61,5 @@ __all__ = [
     "load_model",
     "sample_contrast",
     "save_dataset",
-    "test_forward",
     "train_step",
 ]

@@ -198,12 +198,10 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     ops = args.op or None
-    if ops is not None:
-        unknown = [name for name in ops if name not in registered_ops()]
-        if unknown:
-            raise ConfigError(
-                f"unknown op(s) for gradient check: {unknown}; known: {registered_ops()}"
-            )
+    named = (ops or []) + ([args.inject_fault] if args.inject_fault else [])
+    unknown = [name for name in named if name not in registered_ops()]
+    if unknown:
+        raise ConfigError(f"unknown op(s) for gradient check: {unknown}; known: {registered_ops()}")
     fault = (
         tz.inject_backward_fault(args.inject_fault)
         if args.inject_fault

@@ -12,11 +12,13 @@ channels / reduction), flattens row-major, and projects to the shared
 embedding dimension.  Both branches are purely linear: the averaging is
 what separates the two factors, and any nonlinearity here would blur
 the attribution that the synthetic-data experiments rely on.
+
+The four matrices carry their checkpoint names (``decouple.*``) from the
+moment they are made, so they sit in the model's one parameter dict
+beside the encoder's.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,30 +27,6 @@ from . import tensor as tz
 from .errors import ConfigError, DimensionError
 from .rng import seeded_rng
 from .tensor import Tensor
-
-
-@dataclass
-class DecouplerParams:
-    spatial_reduce: Tensor  # (channels, channels // reduction)
-    temporal_reduce: Tensor  # (channels, channels // reduction)
-    spatial_embed: Tensor  # (joints * channels // reduction, dim)
-    temporal_embed: Tensor  # (frames * channels // reduction, dim)
-    reduction: int
-    dim: int
-
-    def named(self) -> dict[str, Tensor]:
-        return {
-            "spatial_reduce": self.spatial_reduce,
-            "temporal_reduce": self.temporal_reduce,
-            "spatial_embed": self.spatial_embed,
-            "temporal_embed": self.temporal_embed,
-        }
-
-
-@dataclass
-class EmbeddingPair:
-    spatial: Tensor  # (batch, dim)
-    temporal: Tensor  # (batch, dim)
 
 
 def decoupler_shapes(joints: int, out_frames: int, channels: int, reduction: int, dim: int) -> dict[str, tuple]:
@@ -61,54 +39,58 @@ def decoupler_shapes(joints: int, out_frames: int, channels: int, reduction: int
         raise ConfigError(f"embedding dim must be positive, got {dim}")
     reduced = channels // reduction
     return {
-        "spatial_reduce": (channels, reduced),
-        "temporal_reduce": (channels, reduced),
-        "spatial_embed": (joints * reduced, dim),
-        "temporal_embed": (out_frames * reduced, dim),
+        "decouple.spatial_reduce": (channels, reduced),
+        "decouple.temporal_reduce": (channels, reduced),
+        "decouple.spatial_embed": (joints * reduced, dim),
+        "decouple.temporal_embed": (out_frames * reduced, dim),
     }
 
 
 def init_decoupler(
     joints: int, out_frames: int, channels: int, reduction: int, dim: int, seed: int
-) -> DecouplerParams:
+) -> dict[str, Tensor]:
     """Uniform(+-sqrt(1/fan_in)) matrices, fan_in being a matrix's row count, drawn in `decoupler_shapes` order."""
     rng = seeded_rng(seed, "init/decouple")
     named = {}
     for name, shape in decoupler_shapes(joints, out_frames, channels, reduction, dim).items():
         bound = np.sqrt(1.0 / shape[0])
         named[name] = Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
-    return DecouplerParams(**named, reduction=reduction, dim=dim)
+    return named
 
 
-def decouple(feature_map: Tensor, params: DecouplerParams) -> EmbeddingPair:
-    """(batch, joints, frames, channels) feature maps -> (batch, dim) spatial and temporal embeddings."""
+def decouple(feature_map: Tensor, params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """(batch, joints, frames, channels) feature maps -> {"spatial", "temporal"} (batch, dim) embeddings.
+
+    Reads the four ``decouple.*`` matrices of `params`; other entries are ignored.
+    """
     if len(feature_map.shape) != 4:
         raise DimensionError(f"decouple expects a rank-4 feature map batch, got shape {feature_map.shape}")
     batch, joints, frames, channels = feature_map.shape
-    if channels != params.spatial_reduce.shape[0]:
+    spatial_reduce, temporal_reduce = params["decouple.spatial_reduce"], params["decouple.temporal_reduce"]
+    spatial_embed, temporal_embed = params["decouple.spatial_embed"], params["decouple.temporal_embed"]
+    if channels != spatial_reduce.shape[0]:
         raise DimensionError(
-            f"feature map has {channels} channels but reduction matrices expect "
-            f"{params.spatial_reduce.shape[0]}"
+            f"feature map has {channels} channels but reduction matrices expect {spatial_reduce.shape[0]}"
         )
-    reduced = params.spatial_reduce.shape[1]
-    if joints * reduced != params.spatial_embed.shape[0]:
+    reduced = spatial_reduce.shape[1]
+    if joints * reduced != spatial_embed.shape[0]:
         raise DimensionError(
             f"spatial branch: {joints} joints x {reduced} reduced channels = {joints * reduced} "
-            f"but spatial_embed expects {params.spatial_embed.shape[0]}"
+            f"but spatial_embed expects {spatial_embed.shape[0]}"
         )
-    if frames * reduced != params.temporal_embed.shape[0]:
+    if frames * reduced != temporal_embed.shape[0]:
         raise DimensionError(
             f"temporal branch: {frames} frames x {reduced} reduced channels = {frames * reduced} "
-            f"but temporal_embed expects {params.temporal_embed.shape[0]}"
+            f"but temporal_embed expects {temporal_embed.shape[0]}"
         )
     instrumentation.bump("decouple_calls")
 
     over_frames = tz.mean_over_axes(feature_map, (2,))  # (batch, joints, channels)
-    spatial_flat = tz.reshape(tz.matmul(over_frames, params.spatial_reduce), (batch, joints * reduced))
-    spatial = tz.matmul(spatial_flat, params.spatial_embed)
+    spatial_flat = tz.reshape(tz.matmul(over_frames, spatial_reduce), (batch, joints * reduced))
+    spatial = tz.matmul(spatial_flat, spatial_embed)
 
     over_joints = tz.mean_over_axes(feature_map, (1,))  # (batch, frames, channels)
-    temporal_flat = tz.reshape(tz.matmul(over_joints, params.temporal_reduce), (batch, frames * reduced))
-    temporal = tz.matmul(temporal_flat, params.temporal_embed)
+    temporal_flat = tz.reshape(tz.matmul(over_joints, temporal_reduce), (batch, frames * reduced))
+    temporal = tz.matmul(temporal_flat, temporal_embed)
 
-    return EmbeddingPair(spatial=spatial, temporal=temporal)
+    return {"spatial": spatial, "temporal": temporal}

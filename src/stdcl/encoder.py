@@ -172,14 +172,3 @@ def classify(params: dict[str, Tensor], feature_map: Tensor) -> Tensor:
     pooled = tz.mean_over_axes(feature_map, (1, 2))
     return tz.add(tz.matmul(pooled, params["head.w"]), params["head.b"])
 
-
-def test_forward(params: dict[str, Tensor], cfg: EncoderConfig, coords: np.ndarray) -> np.ndarray:
-    """Inference-path predictions for a (batch, joints, frames, 3) batch: encoder + classifier head only.
-
-    Deliberately touches neither the decoupling branches nor the memory
-    banks; runs under ``tz.no_grad()`` so no tape is built.  Ties in the
-    logits resolve to the lowest class index.  Returns (batch,) class indices.
-    """
-    with tz.no_grad():
-        logits = classify(params, encode(params, cfg, coords))
-    return np.argmax(logits.data, axis=1)

@@ -332,7 +332,7 @@ def _build_pipeline_case(seed: int):
     or a degenerate embedding norm are rejected by the caller.
     """
     from .contrast import ContrastConfig, MemoryBank, info_nce_batch, sample_batch, score_heads
-    from .decoupling import DecouplerParams, decouple, init_decoupler
+    from .decoupling import decouple, init_decoupler
     from .encoder import EncoderConfig, encode, classify, init_params
 
     rng = seeded_rng(seed, "gradcheck/pipeline")
@@ -342,11 +342,10 @@ def _build_pipeline_case(seed: int):
     )
     num_classes = 3
     params = init_params(cfg, num_classes, seed=seed)
-    decoupler = init_decoupler(
+    params.update(init_decoupler(
         joints=cfg.joints, out_frames=cfg.out_frames, channels=cfg.channels, reduction=2, dim=5, seed=seed + 1
-    )
+    ))
     arrays = {k: t.data.copy() for k, t in params.items()}
-    arrays.update({f"decouple.{k}": t.data.copy() for k, t in decoupler.named().items()})
 
     coords = rng.standard_normal((2, cfg.joints, cfg.frames, 3))
     labels = rng.integers(0, num_classes, size=2)
@@ -364,30 +363,22 @@ def _build_pipeline_case(seed: int):
         banks[name] = bank
     ccfg = ContrastConfig(tau=0.8, n_pos_hard=2, n_neg_hard=2, n_neg_rand=2)
 
-    def rebuild(tensors: dict[str, Tensor]):
-        enc_params = {k: v for k, v in tensors.items() if not k.startswith("decouple.")}
-        named = {name: tensors[f"decouple.{name}"] for name in decoupler.named()}
-        dec = DecouplerParams(**named, reduction=2, dim=5)
-        return enc_params, dec
-
-    def embeddings(tensors: dict[str, Tensor]):
-        enc_params, dec = rebuild(tensors)
-        feat = encode(enc_params, cfg, coords)
-        pair = decouple(feat, dec)
-        return {"spatial": pair.spatial, "temporal": pair.temporal}, enc_params, feat
-
-    with tz.using_precision("float64"), tz.trace_relu_gaps() as gaps:
-        heads0, _, _ = embeddings({k: Tensor(v, requires_grad=False) for k, v in arrays.items()})
-        min_gap = min(gaps) if gaps else np.inf
+    with tz.using_precision("float64"):
+        # a probe forward on a tape, so the inputs of its relu nodes can be read off it
+        probe = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        feat0 = encode(probe, cfg, coords)
+        gaps = [np.min(np.abs(node._parents[0].data)) for node in tz._toposort(feat0) if node._op == "relu"]
+        min_gap = min(gaps, default=np.inf)
+        heads0 = decouple(feat0, probe)
         min_norm = min(float(np.linalg.norm(t.data, axis=1).min()) for t in heads0.values())
         both = list(banks.values())
         scores = score_heads(both, np.concatenate([t.data for t in heads0.values()]))[2]
         mined = sample_batch(both, scores, labels, anchor_slots, ccfg, [bank.rng for bank in both])
 
     def fn(tensors: dict[str, Tensor]) -> Tensor:
-        heads, enc_params, feat = embeddings(tensors)
-        loss = tz.mean_over_axes(tz.softmax_cross_entropy(classify(enc_params, feat), labels), (0,))
-        anchors = list(heads.values())
+        feat = encode(tensors, cfg, coords)
+        loss = tz.mean_over_axes(tz.softmax_cross_entropy(classify(tensors, feat), labels), (0,))
+        anchors = list(decouple(feat, tensors).values())
         scored = score_heads(both, np.concatenate([t.data for t in anchors]))
         for nce in info_nce_batch(anchors, both, scored, mined, ccfg)[0]:
             loss = tz.add(loss, tz.mean_over_axes(nce, (0,)))

@@ -45,10 +45,6 @@ _grad_enabled = True
 # prove the gradient checker actually catches broken rules.
 _fault_op: str | None = None
 
-# When not None, relu() appends min|input| here; the gradient checker uses it
-# to reject test points that sit on the kink.
-_relu_gap_trace: list | None = None
-
 NORM_EPSILON = 1e-12
 
 PADDING_MODES = ("zero", "circular")  # temporal_conv's padding
@@ -130,19 +126,6 @@ def inject_backward_fault(op: str):
         yield
     finally:
         _fault_op = previous
-
-
-@contextmanager
-def trace_relu_gaps():
-    """Collect min|x| seen by relu() inside the block."""
-    global _relu_gap_trace
-    previous = _relu_gap_trace
-    trace: list = []
-    _relu_gap_trace = trace
-    try:
-        yield trace
-    finally:
-        _relu_gap_trace = previous
 
 
 class Tensor:
@@ -388,8 +371,6 @@ def log(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    if _relu_gap_trace is not None:
-        _relu_gap_trace.append(float(np.min(np.abs(x.data))) if x.size else np.inf)
     mask = x.data > 0
 
     def backward(g: np.ndarray) -> None:

@@ -33,8 +33,8 @@ from .atomic import atomic_path
 from .checkpoint import load_checkpoint, save_checkpoint
 from .contrast import ContrastConfig, contrast_losses, make_banks
 from .data import SkeletonDataset
-from .decoupling import DecouplerParams, decouple, decoupler_shapes, init_decoupler
-from .encoder import EncoderConfig, classify, encode, init_params, param_shapes, test_forward
+from .decoupling import decouple, decoupler_shapes, init_decoupler
+from .encoder import EncoderConfig, classify, encode, init_params, param_shapes
 from .errors import ConfigError, DataFormatError, NumericError
 from .metrics import per_class_accuracy, silhouette_score, top1_accuracy
 from .rng import seeded_rng
@@ -125,14 +125,11 @@ class TrainConfig:
 class Model:
     encoder_cfg: EncoderConfig
     num_classes: int
-    params: dict  # encoder + classifier head tensors
-    decoupler: DecouplerParams | None
+    params: dict  # checkpoint name -> tensor: encoder, classifier head and, framework on, decouple.*
 
     def named_tensors(self) -> dict:
-        named = dict(self.params)
-        if self.decoupler is not None:
-            named.update({f"decouple.{k}": v for k, v in self.decoupler.named().items()})
-        return named
+        """`params` itself; the benchmark harness reads the model's tensors through this name."""
+        return self.params
 
 
 @dataclass
@@ -205,17 +202,16 @@ class SGD:
 
 def build_model(encoder_cfg: EncoderConfig, num_classes: int, cfg: TrainConfig) -> Model:
     params = init_params(encoder_cfg, num_classes, seed=cfg.seed)
-    decoupler = None
     if cfg.framework_enabled:
-        decoupler = init_decoupler(
+        params.update(init_decoupler(
             joints=encoder_cfg.joints,
             out_frames=encoder_cfg.out_frames,
             channels=encoder_cfg.channels,
             reduction=cfg.reduction,
             dim=cfg.embed_dim,
             seed=cfg.seed,
-        )
-    return Model(encoder_cfg=encoder_cfg, num_classes=num_classes, params=params, decoupler=decoupler)
+        ))
+    return Model(encoder_cfg=encoder_cfg, num_classes=num_classes, params=params)
 
 
 def train_step(
@@ -238,8 +234,7 @@ def train_step(
     embeddings = {}
     skipped = 0
     if cfg.framework_enabled:
-        pair = decouple(feature_map, model.decoupler)
-        embeddings = {"spatial": pair.spatial, "temporal": pair.temporal}
+        embeddings = decouple(feature_map, model.params)
         losses, skipped = contrast_losses(banks, embeddings, labels, indices, cfg.contrast_config())
         means.update((name, tz.mean_over_axes(head, (0,))) for name, head in losses.items())
 
@@ -282,10 +277,16 @@ def _coord_chunks(dataset: SkeletonDataset):
         yield start, np.stack([seq.coords for seq in dataset.sequences[start : start + TEST_CHUNK]])
 
 
+def _test_logits(model: Model, coords: np.ndarray) -> np.ndarray:
+    """Tape-free (batch, K) logits for a (batch, joints, frames, 3) batch: encoder and classifier head only."""
+    with tz.no_grad():
+        return classify(model.params, encode(model.params, model.encoder_cfg, coords)).data
+
+
 def evaluate(model: Model, dataset: SkeletonDataset) -> EvalReport:
-    """Top-1 accuracy over the inference path (encoder + head only)."""
+    """Top-1 accuracy over the test-time path; ties in the logits go to the lowest class."""
     predictions = np.concatenate(
-        [test_forward(model.params, model.encoder_cfg, coords) for _, coords in _coord_chunks(dataset)]
+        [np.argmax(_test_logits(model, coords), axis=1) for _, coords in _coord_chunks(dataset)]
     )
     labels = dataset.labels()
     return EvalReport(
@@ -297,21 +298,20 @@ def evaluate(model: Model, dataset: SkeletonDataset) -> EvalReport:
 
 def predict_logits(model: Model, coords: np.ndarray) -> np.ndarray:
     """Tape-free (K,) logits for one (joints, frames, 3) sequence; same path evaluate() scores."""
-    with tz.no_grad():
-        return classify(model.params, encode(model.params, model.encoder_cfg, np.asarray(coords)[None])).data[0]
+    return _test_logits(model, np.asarray(coords)[None])[0]
 
 
 def embedding_report(model: Model, dataset: SkeletonDataset) -> EmbeddingReport:
     """Analysis path: re-run the decoupling branches with final weights."""
-    if model.decoupler is None:
+    if "decouple.spatial_embed" not in model.params:
         raise ConfigError("embedding report needs the decoupling branches (framework disabled)")
-    spatial = np.zeros((len(dataset), model.decoupler.dim))
+    spatial = np.zeros((len(dataset), model.params["decouple.spatial_embed"].shape[1]))
     temporal = np.zeros_like(spatial)
     with tz.no_grad():
         for start, coords in _coord_chunks(dataset):
-            pair = decouple(encode(model.params, model.encoder_cfg, coords), model.decoupler)
-            spatial[start : start + len(coords)] = pair.spatial.data
-            temporal[start : start + len(coords)] = pair.temporal.data
+            heads = decouple(encode(model.params, model.encoder_cfg, coords), model.params)
+            spatial[start : start + len(coords)] = heads["spatial"].data
+            temporal[start : start + len(coords)] = heads["temporal"].data
     labels = dataset.labels()
     return EmbeddingReport(
         spatial=spatial,
@@ -340,11 +340,13 @@ def export_embeddings_tsv(report: EmbeddingReport, path: str) -> None:
 
 
 def model_meta(model: Model, cfg: TrainConfig | None = None, **extra) -> dict:
+    """Checkpoint meta; embed_dim and reduction are read off the decouple.* shapes (None without them)."""
+    reduce, embed = model.params.get("decouple.spatial_reduce"), model.params.get("decouple.spatial_embed")
     meta = {
         "encoder": {**asdict(model.encoder_cfg), "hidden": list(model.encoder_cfg.hidden)},
         "num_classes": model.num_classes,
-        "embed_dim": model.decoupler.dim if model.decoupler else None,
-        "reduction": model.decoupler.reduction if model.decoupler else None,
+        "embed_dim": embed.shape[1] if embed is not None else None,
+        "reduction": reduce.shape[0] // reduce.shape[1] if reduce is not None else None,
     }
     if cfg is not None:
         meta["train"] = asdict(cfg)
@@ -353,7 +355,7 @@ def model_meta(model: Model, cfg: TrainConfig | None = None, **extra) -> dict:
 
 
 def save_model(path: str, model: Model, meta: dict) -> None:
-    save_checkpoint(path, model.named_tensors(), meta)
+    save_checkpoint(path, model.params, meta)
 
 
 def _is_int(value) -> bool:
@@ -387,12 +389,10 @@ def load_model(path: str) -> tuple[Model, dict]:
         num_classes = meta["num_classes"]
         expected = param_shapes(encoder_cfg, num_classes)
         if has_decoupler:
-            reduction, dim = meta["reduction"], meta["embed_dim"]
-            branch_shapes = decoupler_shapes(
+            expected.update(decoupler_shapes(
                 joints=encoder_cfg.joints, out_frames=encoder_cfg.out_frames,
-                channels=encoder_cfg.channels, reduction=reduction, dim=dim,
-            )
-            expected.update({f"decouple.{k}": v for k, v in branch_shapes.items()})
+                channels=encoder_cfg.channels, reduction=meta["reduction"], dim=meta["embed_dim"],
+            ))
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataFormatError(f"{path}: checkpoint meta does not describe a model: {exc}") from None
     if sorted(arrays) != sorted(expected):
@@ -404,18 +404,8 @@ def load_model(path: str) -> tuple[Model, dict]:
     for name, shape in expected.items():
         if arrays[name].shape != shape:
             raise DataFormatError(f"{path}: array {name!r} has shape {arrays[name].shape}, its meta builds {shape}")
-    tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-    decoupler = None
-    if has_decoupler:
-        named = {name: tensors[f"decouple.{name}"] for name in branch_shapes}
-        decoupler = DecouplerParams(**named, reduction=reduction, dim=dim)
-    model = Model(
-        encoder_cfg=encoder_cfg,
-        num_classes=num_classes,
-        params={k: v for k, v in tensors.items() if not k.startswith("decouple.")},
-        decoupler=decoupler,
-    )
-    return model, meta
+    params = {name: Tensor(arrays[name], requires_grad=True) for name in expected}
+    return Model(encoder_cfg=encoder_cfg, num_classes=num_classes, params=params), meta
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +446,16 @@ def fit(
             f"encoder expects (joints={encoder_cfg.joints}, frames={encoder_cfg.frames}) but the "
             f"dataset provides (joints={dataset.joints}, frames={dataset.frames})"
         )
+    if dataset.num_classes > len(dataset):
+        raise DataFormatError(
+            f"dataset has more classes ({dataset.num_classes}) than sequences ({len(dataset)}), "
+            "so some class has no training sequence"
+        )
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     model = build_model(encoder_cfg, dataset.num_classes, cfg)
     banks = make_banks(len(dataset), cfg.embed_dim, cfg.seed) if cfg.framework_enabled else {}
-    optimizer = SGD(model.named_tensors(), cfg.momentum, cfg.weight_decay)
+    optimizer = SGD(model.params, cfg.momentum, cfg.weight_decay)
     shuffle_rng = seeded_rng(cfg.seed, "shuffle")
     eval_on = eval_dataset if eval_dataset is not None else dataset
 

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from stdcl import cli
+from stdcl import cli, train
 from stdcl.checkpoint import load_checkpoint, save_checkpoint
 from stdcl.config import CONFIG_SCHEMA, read_manifest
 from stdcl.encoder import EncoderConfig
@@ -304,6 +304,21 @@ class TestEval:
         assert code == cli.EXIT_DATA
         assert f"{data}:1:" in capsys.readouterr().err
 
+    def test_train_on_more_classes_than_sequences_is_data_error(
+        self, workdir, config_path, dataset_path, capsys, monkeypatch
+    ):
+        """One sequence labelled 10**8 would size the head at (32, 100000001), ~25.6 GB; fit refuses first."""
+        def build_model(*args):
+            raise AssertionError("fit built the model")
+
+        monkeypatch.setattr(train, "build_model", build_model)
+        record = json.loads(dataset_path.read_text().splitlines()[0])
+        data = workdir / "label-sized.jsonl"
+        data.write_text(json.dumps({**record, "label": 10**8}) + "\n")
+        code = run_cli("train", "-c", config_path, "--set", f"data.path={data}", "--out", workdir / "label-sized")
+        assert code == cli.EXIT_DATA
+        assert "more classes (100000001) than sequences (1)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", [
         "list-record", "string-coords", "non-integer-label", "non-utf8-jsonl", "non-utf8-array-name",
     ])
@@ -375,6 +390,13 @@ class TestGradcheck:
     def test_unknown_op_rejected(self, capsys):
         assert run_cli("gradcheck", "--op", "warp") == cli.EXIT_USAGE
         assert "unknown op" in capsys.readouterr().err
+
+    def test_unknown_fault_op_rejected(self, capsys):
+        code = run_cli("gradcheck", "--op", "matmul", "--trials", 1, "--inject-fault", "nosuchop")
+        assert code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "unknown op" in captured.err and "nosuchop" in captured.err
+        assert "passed" not in captured.out
 
     def test_injected_fault_is_detected_and_named(self, capsys):
         code = run_cli("gradcheck", "--op", "matmul", "--trials", 2,

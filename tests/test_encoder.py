@@ -5,10 +5,12 @@ import pytest
 
 from stdcl import encoder, instrumentation
 from stdcl import tensor as tz
+from stdcl.data import SkeletonDataset, SkeletonSequence
 from stdcl.decoupling import decouple, init_decoupler
 from stdcl.encoder import EncoderConfig, classify, encode, init_params, mixing_matrix, param_shapes
 from stdcl.errors import ConfigError, DimensionError
 from stdcl.tensor import Tensor
+from stdcl.train import Model, evaluate, predict_logits
 
 
 def tiny_cfg(**kw):
@@ -152,28 +154,48 @@ class TestForward:
         assert np.abs(fx + fy - fsum).max() > 1e-6
 
 
+def tiny_model(params, cfg):
+    return Model(encoder_cfg=cfg, num_classes=4, params=params)
+
+
+def dataset_of(coords, labels):
+    seqs = [SkeletonSequence(c, int(label), i) for i, (c, label) in enumerate(zip(coords, labels))]
+    return SkeletonDataset(seqs, num_classes=4)
+
+
 class TestInferencePath:
+    """The test-time path, `evaluate` and `predict_logits`: encoder and classifier head only."""
+
     def test_matches_classify_and_breaks_ties_low(self):
         cfg = tiny_cfg()
         params = init_params(cfg, 4, seed=0)
         coords = np.random.default_rng(2).standard_normal((5, 3, 8, 3))
         logits = classify(params, encode(params, cfg, coords)).data
-        pred = encoder.test_forward(params, cfg, coords)
-        np.testing.assert_array_equal(pred, np.argmax(logits, axis=1))
+        model = tiny_model(params, cfg)
+        np.testing.assert_allclose(np.stack([predict_logits(model, c) for c in coords]), logits, rtol=1e-12)
+        predictions = np.argmax(logits, axis=1)
+        report = evaluate(model, dataset_of(coords, predictions))
+        assert report.accuracy == 1.0
 
     def test_uniform_logits_tie_breaks_to_zero(self):
         cfg = tiny_cfg()
         params = init_params(cfg, 4, seed=0)
         # zero head weights + zero input -> all logits equal -> argmax = 0
         params["head.w"] = Tensor(np.zeros_like(params["head.w"].data), requires_grad=True)
-        np.testing.assert_array_equal(encoder.test_forward(params, cfg, np.zeros((2, 3, 8, 3))), [0, 0])
+        model = tiny_model(params, cfg)
+        zeros = np.zeros((2, 3, 8, 3))
+        assert len(set(predict_logits(model, zeros[0]))) == 1
+        assert evaluate(model, dataset_of(zeros, [0, 0])).accuracy == 1.0
+        assert evaluate(model, dataset_of(zeros, [1, 1])).accuracy == 0.0
 
     def test_inference_touches_no_framework_state(self):
         cfg = tiny_cfg()
         params = init_params(cfg, 4, seed=0)
         coords = np.random.default_rng(4).standard_normal((2, 3, 8, 3))
+        model = tiny_model(params, cfg)
         instrumentation.reset()
-        encoder.test_forward(params, cfg, coords)
+        evaluate(model, dataset_of(coords, [0, 1]))
+        predict_logits(model, coords[0])
         assert instrumentation.count("decouple_calls") == 0
         assert instrumentation.count("bank_reads") == 0
         assert instrumentation.count("bank_writes") == 0
@@ -186,20 +208,26 @@ class TestInferencePath:
         matrix is a constant built once.
         """
         cfg = tiny_cfg(hidden=(4,))
-        params = init_params(cfg, 4, seed=0)
+        model = tiny_model(init_params(cfg, 4, seed=0), cfg)
         coords = np.random.default_rng(6).standard_normal((16, 3, 8, 3))  # one evaluation chunk
-        encoder.test_forward(params, cfg, coords)
+        dataset = dataset_of(coords, np.arange(16) % 4)
+        evaluate(model, dataset)
         seen = []
         monkeypatch.setattr(tz, "_scan", lambda data, op, what: seen.append(op))
-        encoder.test_forward(params, cfg, coords)
+        evaluate(model, dataset)
         arithmetic = ["temporal_conv", "matmul"] * 2 + ["mean_over_axes", "matmul", "add"]
+        assert seen == ["tensor", *arithmetic]
+        seen.clear()
+        predict_logits(model, coords[0])
         assert seen == ["tensor", *arithmetic]
 
     def test_inference_leaves_no_grads(self):
         cfg = tiny_cfg()
         params = init_params(cfg, 4, seed=0)
         coords = np.random.default_rng(5).standard_normal((2, 3, 8, 3))
-        encoder.test_forward(params, cfg, coords)
+        model = tiny_model(params, cfg)
+        evaluate(model, dataset_of(coords, [0, 1]))
+        predict_logits(model, coords[0])
         assert all(p.grad is None for p in params.values())
 
 
@@ -299,16 +327,16 @@ class TestBatchAxis:
     def test_rows_equal_batch_of_one_calls(self, padding, mixing):
         cfg = tiny_cfg(joint_mixing=mixing, temporal_padding=padding)
         params = init_params(cfg, 4, seed=3)
-        decoupler = init_decoupler(joints=3, out_frames=cfg.out_frames, channels=6, reduction=2, dim=5, seed=3)
+        params.update(init_decoupler(joints=3, out_frames=cfg.out_frames, channels=6, reduction=2, dim=5, seed=3))
         coords = np.random.default_rng(8).standard_normal((5, 3, 8, 3))
         feat = encode(params, cfg, coords)
         logits = classify(params, feat)
-        pair = decouple(feat, decoupler)
-        assert logits.shape == (5, 4) and pair.spatial.shape == pair.temporal.shape == (5, 5)
+        heads = decouple(feat, params)
+        assert logits.shape == (5, 4) and heads["spatial"].shape == heads["temporal"].shape == (5, 5)
         for b in range(5):
             one = encode(params, cfg, coords[b : b + 1])
-            one_pair = decouple(one, decoupler)
+            one_heads = decouple(one, params)
             np.testing.assert_allclose(feat.data[b], one.data[0], rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(logits.data[b], classify(params, one).data[0], rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(pair.spatial.data[b], one_pair.spatial.data[0], rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(pair.temporal.data[b], one_pair.temporal.data[0], rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(heads["spatial"].data[b], one_heads["spatial"].data[0], rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(heads["temporal"].data[b], one_heads["temporal"].data[0], rtol=1e-12, atol=1e-14)

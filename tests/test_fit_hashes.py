@@ -20,7 +20,7 @@ def test_decoupling_one_epoch_digests():
     assert sorted(digests["decoupling/off/1"]) == ["checkpoint", "metrics_csv"]
     bank_parts = [f"{head}.{part}" for head in ("spatial", "temporal")
                   for part in ("features", "labels", "rng_state", "valid")]
-    test_time = ["eval.logits", "embedding.spatial", "embedding.temporal",
+    test_time = ["eval.logits", "eval.accuracy", "eval.per_class", "embedding.spatial", "embedding.temporal",
                  "embedding.silhouette_spatial", "embedding.silhouette_temporal"]
     assert sorted(digests["decoupling/on/1"]) == sorted(["checkpoint", "metrics_csv", *bank_parts, *test_time])
     for fit in digests.values():

@@ -115,16 +115,27 @@ class TestBuildModel:
     def test_framework_flag_controls_decoupler(self):
         on = build_model(tiny_encoder(), 4, tiny_train(framework_enabled=True))
         off = build_model(tiny_encoder(), 4, tiny_train(framework_enabled=False))
-        assert on.decoupler is not None and off.decoupler is None
+        assert "decouple.spatial_embed" in on.params
+        assert not any(name.startswith("decouple.") for name in off.params)
         _, ds = tiny_dataset()
         with pytest.raises(ConfigError, match="framework"):
             embedding_report(off, ds)
 
     def test_named_tensors_prefixes_decoupler(self):
+        """One name table: the decoupler's matrices sit in `params` under their checkpoint names."""
         model = build_model(tiny_encoder(), 4, tiny_train())
+        assert model.named_tensors() is model.params
         names = set(model.named_tensors())
         assert "head.w" in names
         assert "decouple.spatial_embed" in names
+
+    @pytest.mark.parametrize("reduction", [1, 2, 4, 8])
+    def test_meta_reads_embed_dim_and_reduction_off_the_shapes(self, reduction):
+        cfg = tiny_train(reduction=reduction, embed_dim=5)
+        meta = model_meta(build_model(tiny_encoder(), 4, cfg))
+        assert (meta["embed_dim"], meta["reduction"]) == (cfg.embed_dim, cfg.reduction)
+        off = model_meta(build_model(tiny_encoder(), 4, tiny_train(framework_enabled=False)))
+        assert (off["embed_dim"], off["reduction"]) == (None, None)
 
 
 class TestTrainStep:
@@ -303,8 +314,10 @@ class TestFit:
         # the zero-weight run must leave its decoupler exactly at init
         init = build_model(tiny_encoder(), ds.num_classes,
                            tiny_train(framework_enabled=True, **base))
-        for key, t in init.decoupler.named().items():
-            np.testing.assert_array_equal(t.data, zero.model.decoupler.named()[key].data)
+        decoupler = [key for key in init.params if key.startswith("decouple.")]
+        assert len(decoupler) == 4
+        for key in decoupler:
+            np.testing.assert_array_equal(init.params[key].data, zero.model.params[key].data)
 
     def test_ce_beats_uniform_bound_after_training(self):
         _, ds = tiny_dataset(per_class=5)
@@ -379,9 +392,9 @@ class TestEvaluate:
         assert report.accuracy == pytest.approx(float(np.mean(predictions == ds.labels())))
         embeddings = embedding_report(model, ds)
         for seq in ds:
-            pair = decouple(encode(model.params, model.encoder_cfg, seq.coords[None]), model.decoupler)
-            np.testing.assert_allclose(embeddings.spatial[seq.index], pair.spatial.data[0], rtol=1e-12)
-            np.testing.assert_allclose(embeddings.temporal[seq.index], pair.temporal.data[0], rtol=1e-12)
+            heads = decouple(encode(model.params, model.encoder_cfg, seq.coords[None]), model.params)
+            np.testing.assert_allclose(embeddings.spatial[seq.index], heads["spatial"].data[0], rtol=1e-12)
+            np.testing.assert_allclose(embeddings.temporal[seq.index], heads["temporal"].data[0], rtol=1e-12)
 
     def test_logits_deterministic(self):
         _, ds = tiny_dataset()
@@ -424,7 +437,7 @@ class TestEmbeddingsAndCheckpoint:
         back, meta = load_model(path)
         assert back.encoder_cfg == model.encoder_cfg
         assert back.num_classes == model.num_classes
-        assert (back.decoupler is None) == (model.decoupler is None)
+        assert sorted(back.params) == sorted(model.params)
         for name, t in model.named_tensors().items():
             np.testing.assert_allclose(back.named_tensors()[name].data, t.data,
                                        atol=1e-7)  # float32 payload
@@ -439,4 +452,5 @@ class TestEmbeddingsAndCheckpoint:
         path = str(tmp_path / "m.ckpt")
         save_model(path, model, model_meta(model, cfg))
         back, _ = load_model(path)
-        assert back.decoupler is None
+        assert sorted(back.params) == sorted(model.params)
+        assert not any(name.startswith("decouple.") for name in back.params)
