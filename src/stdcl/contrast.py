@@ -8,9 +8,9 @@ written) slots hold zeros and are excluded from sampling.
 A training step does the contrast work of both heads in one pass.  The
 2B anchors are normalized once and fill one (2B, L) score matrix: each
 head's B rows come from one ``(B, D) @ (D, L)`` product of its unit
-anchors with its own bank.  The banks of one fit agree on every slot's
-label and validity, so one sort ranks the valid slots of all 2B rows and
-one set of label masks splits them.  Each row mines the hardest
+anchors with its own bank.  The banks of one fit share one slot table
+(labels and validity), so one sort ranks the valid slots of all 2B rows
+and one set of label masks splits them.  Each row mines the hardest
 positives (lowest cosine similarity among same-label slots) and hardest
 negatives (highest similarity among different-label slots), padded with
 uniform random draws from the remaining different-label slots, straight
@@ -213,17 +213,14 @@ def score_heads(banks: list, anchors: np.ndarray) -> tuple[np.ndarray, np.ndarra
     All rows are normalized together, once.  Each head's B unit rows are
     scored against its own bank by one ``(B, D) @ (D, L)`` product, so
     scores[r, j] is the cosine similarity of anchor r to slot j of its
-    head's bank.  Banks scored together must agree on every slot's label
-    and validity, as the banks of one fit do, so that one pass mines them.
+    head's bank.  Banks scored together share one slot table, as
+    `make_banks` builds them, so that one pass mines them.
     """
     units, norms = _unit_rows(anchors)
-    bank, count = banks[0], units.shape[0] // len(banks)
+    count = units.shape[0] // len(banks)
     if count * len(banks) != units.shape[0]:
         raise DimensionError(f"contrast scoring: {units.shape[0]} anchors do not split over {len(banks)} heads")
-    for other in banks[1:]:
-        if not (np.array_equal(other.labels, bank.labels) and np.array_equal(other.valid, bank.valid)):
-            raise BankIntegrityError(f"banks {bank.name!r} and {other.name!r} disagree on slot labels or validity")
-    scores = np.empty((units.shape[0], bank.length))
+    scores = np.empty((units.shape[0], banks[0].length))
     for h, head_bank in enumerate(banks):
         rows = slice(h * count, (h + 1) * count)
         np.matmul(units[rows], head_bank.features.T, out=scores[rows])
@@ -234,11 +231,12 @@ def sample_batch(banks: list, scores: np.ndarray, labels, indices, cfg: Contrast
     """Mine a contrastive sample for each row of `scores`, as `score_heads` returned it.
 
     Head h's B rows are anchors with the B `labels` and `indices`, mined
-    from banks[h]; a row whose positive or negative pool is empty gets no
-    sample.  One sort ranks every row's valid slots, highest similarity
-    first.  A row without a repeated score has a single order, so the
-    unstable sort finds it exactly; its negatives are its ranked slots of
-    another label and its positives those of its own label, reversed.
+    from banks[h] and the slot table they share; a row whose positive or
+    negative pool is empty gets no sample.  One sort ranks every row's
+    valid slots, highest similarity first.  A row without a repeated score
+    has a single order, so the unstable sort finds it exactly; its
+    negatives are its ranked slots of another label and its positives
+    those of its own label, reversed.
     Only a row that repeats a score (``==``, so -0.0 ties 0.0) is re-ranked
     with ``lexsort``, ties toward the lower slot, and its positives get a
     rising ``lexsort`` of their own.  The anchor's own slot is in neither
@@ -445,8 +443,12 @@ def contrast_losses(banks: dict, anchors_by_head: dict, labels, indices, cfg: Co
 
 
 def make_banks(length: int, dim: int, seed: int) -> dict[str, MemoryBank]:
-    return {
-        "spatial": MemoryBank(length, dim, "spatial", seed),
-        "temporal": MemoryBank(length, dim, "temporal", seed),
-    }
+    """A fit's spatial and temporal banks: own features and RNG, one shared `labels` and `valid`.
 
+    A step writes both, the second rewriting the slots and labels the first
+    set.  If the second write raises, the step raises, and the fit hands
+    out no banks.
+    """
+    spatial, temporal = MemoryBank(length, dim, "spatial", seed), MemoryBank(length, dim, "temporal", seed)
+    temporal.labels, temporal.valid = spatial.labels, spatial.valid
+    return {"spatial": spatial, "temporal": temporal}

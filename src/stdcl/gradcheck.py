@@ -331,7 +331,7 @@ def _build_pipeline_case(seed: int):
     the parameters.  Seeds whose forward pass lands too close to a relu kink
     or a degenerate embedding norm are rejected by the caller.
     """
-    from .contrast import ContrastConfig, MemoryBank, info_nce_batch, sample_batch, score_heads
+    from .contrast import ContrastConfig, info_nce_batch, make_banks, sample_batch, score_heads
     from .decoupling import decouple, init_decoupler
     from .encoder import EncoderConfig, encode, classify, init_params
 
@@ -351,16 +351,12 @@ def _build_pipeline_case(seed: int):
     labels = rng.integers(0, num_classes, size=2)
     anchor_slots = [0, 7]
 
-    bank_size = 8
-    banks = {}
-    bank_labels = rng.integers(0, num_classes, size=bank_size)  # the heads of a fit share slot labels
+    banks = make_banks(length=8, dim=5, seed=seed)
+    bank_labels = rng.integers(0, num_classes, size=8)
     bank_labels[[1, 3]] = labels  # every anchor has a positive ...
     bank_labels[[2, 4]] = (labels + 1) % num_classes  # ... and a negative
-    for name in ("spatial", "temporal"):
-        bank = MemoryBank(length=bank_size, dim=5, name=name, seed=seed)
-        for i in range(1, 7):
-            bank.update(i, Tensor(rng.standard_normal(5)), int(bank_labels[i]))
-        banks[name] = bank
+    for bank in banks.values():  # slots 1-6: the spatial rows, then the temporal ones
+        bank.update(np.arange(1, 7), rng.standard_normal((6, 5)), bank_labels[1:7])
     ccfg = ContrastConfig(tau=0.8, n_pos_hard=2, n_neg_hard=2, n_neg_rand=2)
 
     with tz.using_precision("float64"):

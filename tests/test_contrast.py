@@ -35,6 +35,7 @@ from stdcl.contrast import (
 from stdcl.data import SyntheticSpec, generate_synthetic
 from stdcl.encoder import EncoderConfig
 from stdcl.errors import BankIntegrityError, ConfigError, DimensionError, NumericError
+from stdcl.rng import seeded_rng
 from stdcl.tensor import Tensor
 from stdcl.train import SGD, TrainConfig, build_model, train_step
 
@@ -942,18 +943,23 @@ def test_two_heads_equal_two_one_head_calls(seed, length, fill, ties, batch, n_p
     assert skipped == single_skipped
 
 
-@pytest.mark.parametrize("field", ["labels", "valid"])
-def test_heads_whose_slots_disagree_raise(field):
-    banks = two_head_banks(np.random.default_rng(4), length=12, fill=0.6, ties=False)
-    free = int(np.flatnonzero(~banks["temporal"].valid)[0])
-    if field == "labels":
-        slot = int(np.flatnonzero(banks["temporal"].valid)[0])
-        banks["temporal"].labels[slot] += 1
-    else:
-        banks["temporal"].update(free, np.ones(5), 0)
-    anchors = {name: Tensor(np.ones((2, 5))) for name in banks}
-    with pytest.raises(BankIntegrityError, match="disagree"):
-        contrast_losses(banks, anchors, [0, 1], [0, 1], ContrastConfig())
+def test_the_heads_of_a_fit_share_one_slot_table():
+    banks = make_banks(length=6, dim=3, seed=0)
+    spatial, temporal = banks["spatial"], banks["temporal"]
+    assert spatial.labels is temporal.labels and spatial.valid is temporal.valid
+    spatial.update([1, 4], np.ones((2, 3)), [2, 0])
+    assert temporal.valid.tolist() == [False, True, False, False, True, False]
+    assert temporal.labels.tolist() == [-1, 2, -1, -1, 0, -1]
+    with pytest.raises(BankIntegrityError, match="relabel"):
+        temporal.update(1, np.ones(3), 1)
+    assert spatial.features is not temporal.features and not temporal.features.any()
+    temporal.update(1, -np.ones(3), 2)
+    np.testing.assert_array_equal(spatial.features[1], np.ones(3) / np.sqrt(3))
+    fresh = {name: seeded_rng(0, f"bank/{name}") for name in banks}
+    spatial.rng.random(), fresh["spatial"].random()  # a draw from one head leaves the other's stream alone
+    for name, bank in banks.items():
+        assert bank.name == name
+        assert bank.rng.bit_generator.state == fresh[name].bit_generator.state
 
 
 def test_a_step_normalizes_each_anchor_once(monkeypatch):
