@@ -75,7 +75,10 @@ def _apply_numeric(cfg: dict) -> None:
 
 def _ensure_parent(path: str) -> None:
     parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
+    try:
+        os.makedirs(parent, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise ConfigError(f"cannot create directory {parent}: {getattr(exc, 'strerror', exc)}") from None
 
 
 def cmd_gen_data(args) -> int:
@@ -96,7 +99,10 @@ def cmd_gen_data(args) -> int:
 
 def _resolve_train_config(args) -> dict:
     if args.from_manifest:
-        cfg = dict(read_manifest(args.from_manifest).config)
+        manifest = read_manifest(args.from_manifest)
+        if manifest.command != "train":
+            raise ConfigError(f"{args.from_manifest}: not a train manifest (command {manifest.command!r})")
+        cfg = dict(manifest.config)
     elif args.config:
         cfg = load_config(args.config)
     else:
@@ -126,6 +132,11 @@ def _load_dataset_checked(path: str, frames: int = 0):
 
 def cmd_train(args) -> int:
     cfg = _resolve_train_config(args)
+    out_dir, stem = cfg["out.dir"], cfg["out.stem"]
+    if not out_dir:
+        raise ConfigError("out.dir must name a directory, got ''")
+    if not stem or any(c and c in stem for c in (os.sep, os.altsep, "\0")):
+        raise ConfigError(f"out.stem must be a file name, got {stem!r}")
     _apply_numeric(cfg)
     dataset = _load_dataset_checked(cfg["data.path"], cfg["data.frames"])
     eval_dataset = None
@@ -134,8 +145,7 @@ def cmd_train(args) -> int:
     encoder_cfg = _from_sections(EncoderConfig, cfg, ("encoder",),
                                  joints=dataset.joints, frames=dataset.frames)
     train_cfg = _from_sections(TrainConfig, cfg, ("train", "contrast"))
-    out_dir = cfg["out.dir"]
-    stem = cfg["out.stem"]
+    _ensure_parent(os.path.join(out_dir, stem))
     result = fit(dataset, encoder_cfg, train_cfg, out_dir=out_dir,
                  eval_dataset=eval_dataset, stem=stem)
     manifest_path = os.path.join(out_dir, f"{stem}-manifest.json")
@@ -175,12 +185,11 @@ def cmd_eval(args) -> int:
             f"dataset sequences have {dataset.joints} joints x {dataset.frames} frames but the "
             f"checkpoint's encoder expects {enc.joints} x {enc.frames}"
         )
+    report_path = args.report or os.path.join(os.path.dirname(os.path.abspath(args.checkpoint)), "eval.csv")
+    for path in (report_path, args.embeddings or report_path):
+        _ensure_parent(path)
     report = evaluate(model, dataset)
     print(f"accuracy {report.accuracy:.4f} over {report.count} sequences")
-    report_path = args.report or os.path.join(
-        os.path.dirname(os.path.abspath(args.checkpoint)), "eval.csv"
-    )
-    _ensure_parent(report_path)
     with atomic_path(report_path) as tmp, open(tmp, "w", encoding="utf-8") as f:
         f.write("metric,value\n")
         f.write(f"accuracy,{report.accuracy:.10g}\n")
@@ -190,7 +199,6 @@ def cmd_eval(args) -> int:
     print(f"report:     {report_path}")
     if args.embeddings:
         embeddings = embedding_report(model, dataset)
-        _ensure_parent(args.embeddings)
         export_embeddings_tsv(embeddings, args.embeddings)
         print(f"embeddings: {args.embeddings}")
     return EXIT_OK

@@ -6,11 +6,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stdcl import cli, train
 from stdcl.checkpoint import load_checkpoint, save_checkpoint
 from stdcl.config import CONFIG_SCHEMA, read_manifest
 from stdcl.encoder import EncoderConfig
+from stdcl.errors import ConfigError
 from stdcl.train import TrainConfig
 
 
@@ -190,6 +193,18 @@ class TestTrain:
         assert run_cli("train", "--from-manifest", path, "--out", workdir / "edited") == cli.EXIT_USAGE
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gen-data", "eval", None])
+    def test_manifest_of_another_command_is_usage_error(self, workdir, trained_run, dataset_path, capsys, command):
+        if command == "gen-data":
+            path = f"{dataset_path}.manifest.json"
+        else:
+            payload = json.loads((trained_run / "model-manifest.json").read_text())
+            payload.pop("command")
+            path = workdir / "other-manifest.json"
+            path.write_text(json.dumps({**payload, "command": command} if command else payload))
+        assert run_cli("train", "--from-manifest", path, "--out", workdir / "other") == cli.EXIT_USAGE
+        assert f"not a train manifest (command {command or ''!r})" in capsys.readouterr().err
+
     def test_unknown_precision_is_usage_error(self, workdir, config_path, capsys):
         code = run_cli("train", "-c", config_path, "--out", workdir / "f16",
                        "--set", "numeric.precision=float16")
@@ -343,6 +358,88 @@ class TestEval:
             where = f"{data}:{line}:"
         assert run_cli("eval", checkpoint, "-d", data) == cli.EXIT_DATA
         assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", [
+    "out-dir-is-a-file", "empty-out-dir", "stem-with-a-separator", "empty-stem", "stem-with-a-nul",
+    "gen-data-output-under-a-file", "eval-report-under-a-file", "eval-embeddings-under-a-file",
+])
+def test_output_path_that_cannot_be_made_is_usage_error(
+    workdir, config_path, dataset_path, trained_run, capsys, monkeypatch, case
+):
+    """Exit 2 with an error line, and nothing trained, evaluated or printed first."""
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{case}: ran past a bad output path")
+
+    blocker = workdir / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    checkpoint = trained_run / "model.ckpt"
+    argv = {
+        "out-dir-is-a-file": ["train", "-c", config_path, "--out", blocker],
+        "empty-out-dir": ["train", "-c", config_path, "--out", ""],
+        "stem-with-a-separator": ["train", "-c", config_path, "--out", workdir / "stems", "--set", "out.stem=a/b"],
+        "empty-stem": ["train", "-c", config_path, "--out", workdir / "stems", "--set", "out.stem="],
+        "stem-with-a-nul": ["train", "-c", config_path, "--out", workdir / "stems", "--set", "out.stem=a\0b"],
+        "gen-data-output-under-a-file": ["gen-data", "-o", blocker / "x.skl"],
+        "eval-report-under-a-file": ["eval", checkpoint, "-d", dataset_path, "--report", blocker / "r.csv"],
+        "eval-embeddings-under-a-file": ["eval", checkpoint, "-d", dataset_path, "--embeddings", blocker / "e.tsv"],
+    }[case]
+    monkeypatch.setattr(train, "train_step", fail)
+    monkeypatch.setattr(cli, "evaluate", fail)
+    if "stem" in case or case == "empty-out-dir":  # checked before any data loads
+        monkeypatch.setattr(cli, "load_dataset", fail)
+    assert run_cli(*argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not (workdir / "stems").exists()
+
+
+@pytest.fixture(scope="module")
+def manifest_blobs(trained_run, dataset_path):
+    """The bytes of a real train manifest and of a real gen-data manifest."""
+    gen_data = dataset_path.parent / f"{dataset_path.name}.manifest.json"
+    return [(trained_run / "model-manifest.json").read_bytes(), gen_data.read_bytes()]
+
+
+_json_value = st.one_of(st.integers(-2, 40), st.sampled_from(
+    [None, True, False, 0.0, -1.5, 2.5, float("nan"), 10**20, "", "train", "float32", [], [3], [1, "x"], {}]))
+
+
+@st.composite
+def damaged_manifests(draw, blobs):
+    """A real manifest with fields dropped or given values of any type, then maybe truncated or bit-flipped."""
+    payload = json.loads(draw(st.sampled_from(blobs)))
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from([payload, *[payload.get("config")] * 3]))
+        if not isinstance(target, dict) or not target:
+            continue
+        key = draw(st.sampled_from(sorted(target)))
+        if draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(_json_value)
+    damaged = bytearray(json.dumps(payload, indent=2, sort_keys=True).encode())
+    damage = draw(st.sampled_from(["none", "none", "truncate", "flip"]))
+    if damage == "truncate":
+        damaged = damaged[: draw(st.integers(0, len(damaged) - 1))]
+    elif damage == "flip":
+        flips = st.tuples(st.integers(0, len(damaged) - 1), st.integers(0, 7))
+        for at, bit in draw(st.lists(flips, min_size=1, max_size=3)):
+            damaged[at] ^= 1 << bit
+    return bytes(damaged)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_damaged_manifest_is_read_or_rejected_and_never_crashes_train(workdir, manifest_blobs, data):
+    path = workdir / "damaged-manifest.json"
+    path.write_bytes(data.draw(damaged_manifests(manifest_blobs), label="manifest"))
+    try:
+        read_manifest(str(path))
+    except ConfigError:
+        pass
+    code = run_cli("train", "--from-manifest", path, "--epochs", 0, "--out", workdir / "damaged")
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERIC)
 
 
 class TestConfigMapping:
