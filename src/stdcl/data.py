@@ -226,7 +226,7 @@ def resample_time(coords: np.ndarray, frames: int) -> np.ndarray:
     """Linearly resample a (joints, frames_in, 3) array to a new frame count."""
     coords = np.asarray(coords, dtype=np.float64)
     t_in = coords.shape[1]
-    if frames < 2:
+    if not 2 <= frames < 2**31:
         raise ConfigError(f"cannot resample to {frames} frames")
     if t_in == frames:
         return coords.copy()

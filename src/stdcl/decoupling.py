@@ -35,8 +35,8 @@ def decoupler_shapes(joints: int, out_frames: int, channels: int, reduction: int
         raise ConfigError(f"reduction must be positive, got {reduction}")
     if channels % reduction != 0:
         raise ConfigError(f"channels ({channels}) must be divisible by reduction ({reduction})")
-    if dim < 1:
-        raise ConfigError(f"embedding dim must be positive, got {dim}")
+    if not 1 <= dim < 2**31:
+        raise ConfigError(f"embedding dim must be in [1, 2**31), got {dim}")
     reduced = channels // reduction
     return {
         "decouple.spatial_reduce": (channels, reduced),

@@ -49,8 +49,8 @@ class EncoderConfig:
                  for name in ("joints", "frames", "channels", "temporal_stride", "kernel_size")}
         sizes.update((f"hidden[{i}]", h) for i, h in enumerate(self.hidden))
         for name, value in sizes.items():
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"encoder.{name} must be an integer, got {value!r}")
+            if not isinstance(value, int) or isinstance(value, bool) or value >= 2**31:
+                raise ConfigError(f"encoder.{name} must be an integer below 2**31, got {value!r}")
         if self.joints < 2:
             raise ConfigError(f"encoder needs at least 2 joints, got {self.joints}")
         if self.frames < 1:

@@ -205,6 +205,18 @@ class TestTrain:
         assert run_cli("train", "--from-manifest", path, "--out", workdir / "other") == cli.EXIT_USAGE
         assert f"not a train manifest (command {command or ''!r})" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,named", [
+        ("encoder.channels", "encoder.channels must be an integer below 2**31"),
+        ("encoder.hidden", "encoder.hidden[0] must be an integer below 2**31"),
+        ("train.embed_dim", "embedding dim must be in [1, 2**31)"),
+        ("data.frames", f"cannot resample to {2**31} frames"),
+    ])
+    def test_size_of_2_to_the_31_is_usage_error(self, workdir, config_path, capsys, monkeypatch, key, named):
+        monkeypatch.setattr(train, "train_step", lambda *args, **kwargs: pytest.fail("trained"))
+        code = run_cli("train", "-c", config_path, "--out", workdir / "huge-size", "--set", f"{key}={2**31}")
+        assert code == cli.EXIT_USAGE
+        assert named in capsys.readouterr().err
+
     def test_unknown_precision_is_usage_error(self, workdir, config_path, capsys):
         code = run_cli("train", "-c", config_path, "--out", workdir / "f16",
                        "--set", "numeric.precision=float16")
