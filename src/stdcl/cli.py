@@ -186,7 +186,7 @@ def cmd_eval(args) -> int:
             f"checkpoint's encoder expects {enc.joints} x {enc.frames}"
         )
     report_path = args.report or os.path.join(os.path.dirname(os.path.abspath(args.checkpoint)), "eval.csv")
-    for path in (report_path, args.embeddings or report_path):
+    for path in filter(None, (report_path, args.embeddings)):
         _ensure_parent(path)
     report = evaluate(model, dataset)
     print(f"accuracy {report.accuracy:.4f} over {report.count} sequences")
