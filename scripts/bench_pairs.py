@@ -34,14 +34,14 @@ def load_spec() -> dict:
         return json.load(f)
 
 
-def run_once(checkout: str, command: list, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run in `checkout`; its result object (the last stdout line)."""
+def run_once(checkout: str, command: list, workload: str, seed: int, seconds: float, trace: int) -> tuple:
+    """One benchmark run in `checkout`: its result object (the last stdout line), its argv and its stdout lines."""
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: {' '.join(argv)} exited {proc.returncode}\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    return json.loads(lines[-1]), argv, lines
 
 
 def quartiles(values: list) -> tuple:
@@ -99,7 +99,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             result = {}
             for side in order:
-                out = run_once(sides[side], spec["command"], workload, args.seed, args.seconds, args.trace)
+                out, _, _ = run_once(sides[side], spec["command"], workload, args.seed, args.seconds, args.trace)
                 result[side] = out
                 if not out.get("correct") or out.get("failed"):
                     faults.append(f"{workload} pair {i} {side}: correct={out.get('correct')} failed={out.get('failed')}")

@@ -74,6 +74,9 @@ def _apply_numeric(cfg: dict) -> None:
 
 
 def _ensure_parent(path: str) -> None:
+    """Make the directory a file is to be written into; ConfigError if the path cannot name that file."""
+    if not path or os.path.isdir(path):
+        raise ConfigError(f"output path must name a file, got {path!r}")
     parent = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(parent, exist_ok=True)
@@ -83,8 +86,10 @@ def _ensure_parent(path: str) -> None:
 
 def cmd_gen_data(args) -> int:
     spec = SyntheticSpec(**{name: getattr(args, flag) for flag, name in _GEN_DATA_FLAGS.items()})
+    manifest_path = args.output + ".manifest.json"
+    for path in (args.output, manifest_path):
+        _ensure_parent(path)
     dataset = generate_synthetic(spec, seed=args.seed)
-    _ensure_parent(args.output)
     save_dataset(dataset, args.output, fmt=args.format)
     manifest = RunManifest(
         command="gen-data",
@@ -92,7 +97,7 @@ def cmd_gen_data(args) -> int:
         seed=args.seed,
         artifacts={"dataset": args.output},
     )
-    write_manifest(args.output + ".manifest.json", manifest)
+    write_manifest(manifest_path, manifest)
     print(f"wrote {len(dataset)} sequences ({dataset.num_classes} classes) to {args.output}")
     return EXIT_OK
 
@@ -145,10 +150,10 @@ def cmd_train(args) -> int:
     encoder_cfg = _from_sections(EncoderConfig, cfg, ("encoder",),
                                  joints=dataset.joints, frames=dataset.frames)
     train_cfg = _from_sections(TrainConfig, cfg, ("train", "contrast"))
-    _ensure_parent(os.path.join(out_dir, stem))
+    manifest_path = os.path.join(out_dir, f"{stem}-manifest.json")
+    _ensure_parent(manifest_path)
     result = fit(dataset, encoder_cfg, train_cfg, out_dir=out_dir,
                  eval_dataset=eval_dataset, stem=stem)
-    manifest_path = os.path.join(out_dir, f"{stem}-manifest.json")
     manifest = RunManifest(
         command="train",
         config=cfg,

@@ -201,20 +201,21 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0, name: str = "syntheti
     offsets = _spatial_offsets(spec, offset_rng)
     envelopes = spec.motif_scale * _temporal_envelopes(spec)
 
+    # One noise draw per class block: `normal` fills its output in order from
+    # the stream, so the bits are those of one draw per sequence.  Adding the
+    # motif into the noise in place gives the bits of motif + noise, since a
+    # floating-point sum of two terms does not depend on their order.  A
+    # class block, not the whole dataset, keeps the temporaries small.
     sequences = []
-    index = 0
     for a in range(spec.num_spatial):
         for b in range(spec.num_temporal):
             label = a * spec.num_temporal + b
-            for _ in range(spec.per_class):
-                coords = (
-                    base
-                    + offsets[a][:, None, :]
-                    + envelopes[b][None, :, None] * direction[None, None, :]
-                    + noise_rng.normal(0.0, spec.noise_std, (spec.joints, spec.frames, 3))
-                )
-                sequences.append(SkeletonSequence(coords=coords, label=label, index=index))
-                index += 1
+            block = noise_rng.normal(0.0, spec.noise_std, (spec.per_class, spec.joints, spec.frames, 3))
+            block += base + offsets[a][:, None, :] + envelopes[b][None, :, None] * direction[None, None, :]
+            sequences.extend(
+                SkeletonSequence(coords=coords, label=label, index=index)
+                for index, coords in enumerate(block, start=len(sequences))
+            )
     return SkeletonDataset(sequences=sequences, num_classes=spec.num_classes, name=name)
 
 

@@ -201,16 +201,27 @@ class SGD:
 
 
 def build_model(encoder_cfg: EncoderConfig, num_classes: int, cfg: TrainConfig) -> Model:
-    params = init_params(encoder_cfg, num_classes, seed=cfg.seed)
+    """The initialized model; ConfigError if it has 2**31 values or more (checked before anything
+    is allocated) or if its values do not fit in memory."""
+    decoupler = dict(
+        joints=encoder_cfg.joints,
+        out_frames=encoder_cfg.out_frames,
+        channels=encoder_cfg.channels,
+        reduction=cfg.reduction,
+        dim=cfg.embed_dim,
+    )
+    shapes = param_shapes(encoder_cfg, num_classes)
     if cfg.framework_enabled:
-        params.update(init_decoupler(
-            joints=encoder_cfg.joints,
-            out_frames=encoder_cfg.out_frames,
-            channels=encoder_cfg.channels,
-            reduction=cfg.reduction,
-            dim=cfg.embed_dim,
-            seed=cfg.seed,
-        ))
+        shapes.update(decoupler_shapes(**decoupler))
+    count = sum(math.prod(shape) for shape in shapes.values())
+    if count >= 2**31:
+        raise ConfigError(f"the model would have {count} parameters; it must have fewer than 2**31")
+    try:
+        params = init_params(encoder_cfg, num_classes, seed=cfg.seed)
+        if cfg.framework_enabled:
+            params.update(init_decoupler(**decoupler, seed=cfg.seed))
+    except MemoryError:
+        raise ConfigError(f"the model's {count} parameters do not fit in memory") from None
     return Model(encoder_cfg=encoder_cfg, num_classes=num_classes, params=params)
 
 
@@ -433,6 +444,22 @@ def write_metrics_csv(path: str, rows: list) -> None:
         writer.writerows(rows)
 
 
+def _epoch_checkpoint_path(out_dir: str, stem: str, epoch: int) -> str:
+    return os.path.join(out_dir, f"{stem}-epoch{epoch:03d}.ckpt")
+
+
+def _check_output_paths(out_dir: str, stem: str, paths: tuple, epochs: range) -> None:
+    """ConfigError if a file that `fit` writes into `out_dir`, one of `paths` or the periodic
+    checkpoint of one of `epochs`, is a directory there."""
+    with os.scandir(out_dir) as entries:
+        for entry in entries:
+            digits = entry.name.removeprefix(f"{stem}-epoch").removesuffix(".ckpt")
+            periodic = (digits.isdecimal() and int(digits) in epochs
+                        and entry.path == _epoch_checkpoint_path(out_dir, stem, int(digits)))
+            if (entry.path in paths or periodic) and entry.is_dir(follow_symlinks=False):
+                raise ConfigError(f"output path must name a file, but {entry.path!r} is a directory")
+
+
 def fit(
     dataset: SkeletonDataset,
     encoder_cfg: EncoderConfig,
@@ -451,8 +478,15 @@ def fit(
             f"dataset has more classes ({dataset.num_classes}) than sequences ({len(dataset)}), "
             "so some class has no training sequence"
         )
+    metrics_path = checkpoint_path = None
+    saved_epochs = range(0)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        metrics_path = os.path.join(out_dir, f"{stem}-metrics.csv")
+        checkpoint_path = os.path.join(out_dir, f"{stem}.ckpt")
+        if cfg.checkpoint_every:
+            saved_epochs = range(cfg.checkpoint_every, cfg.epochs, cfg.checkpoint_every)
+        _check_output_paths(out_dir, stem, (metrics_path, checkpoint_path), saved_epochs)
     model = build_model(encoder_cfg, dataset.num_classes, cfg)
     banks = make_banks(len(dataset), cfg.embed_dim, cfg.seed) if cfg.framework_enabled else {}
     optimizer = SGD(model.params, cfg.momentum, cfg.weight_decay)
@@ -476,23 +510,15 @@ def fit(
             report = evaluate(model, eval_on)
             eval_history.append((epoch, report.accuracy))
             rows.append(["eval", epoch, "", "", "", "", "", "", f"{report.accuracy:.10g}"])
-        if (
-            out_dir
-            and cfg.checkpoint_every
-            and (epoch + 1) % cfg.checkpoint_every == 0
-            and epoch + 1 < cfg.epochs
-        ):
+        if epoch + 1 in saved_epochs:
             save_model(
-                os.path.join(out_dir, f"{stem}-epoch{epoch + 1:03d}.ckpt"),
+                _epoch_checkpoint_path(out_dir, stem, epoch + 1),
                 model,
                 model_meta(model, cfg, epoch=epoch + 1, step=step),
             )
 
-    metrics_path = checkpoint_path = None
     if out_dir is not None:
-        metrics_path = os.path.join(out_dir, f"{stem}-metrics.csv")
         write_metrics_csv(metrics_path, rows)
-        checkpoint_path = os.path.join(out_dir, f"{stem}.ckpt")
         save_model(checkpoint_path, model, model_meta(model, cfg, epoch=cfg.epochs, step=step))
     return FitResult(
         model=model,

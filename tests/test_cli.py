@@ -217,6 +217,28 @@ class TestTrain:
         assert code == cli.EXIT_USAGE
         assert named in capsys.readouterr().err
 
+    def test_model_of_2_to_the_31_values_is_usage_error(self, workdir, config_path, capsys, monkeypatch):
+        monkeypatch.setattr(train, "init_params", lambda *args, **kwargs: pytest.fail("allocated the model"))
+        code = run_cli("train", "-c", config_path, "--out", workdir / "huge-model",
+                       "--set", "encoder.channels=1073741824", "--epochs", 0)
+        assert code == cli.EXIT_USAGE
+        assert "parameters; it must have fewer than 2**31" in capsys.readouterr().err
+
+    def test_model_that_does_not_fit_in_memory_is_usage_error(self, workdir, config_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(train, "init_params", out_of_memory)
+        code = run_cli("train", "-c", config_path, "--out", workdir / "no-memory", "--epochs", 0)
+        assert code == cli.EXIT_USAGE
+        assert "parameters do not fit in memory" in capsys.readouterr().err
+
+    def test_directory_named_as_the_stem_does_not_block_training(self, workdir, config_path):
+        out = workdir / "stem-dir"
+        (out / "model").mkdir(parents=True)
+        assert run_cli("train", "-c", config_path, "--out", out, "--epochs", 0) == cli.EXIT_OK
+        assert (out / "model.ckpt").is_file()
+
     def test_unknown_precision_is_usage_error(self, workdir, config_path, capsys):
         code = run_cli("train", "-c", config_path, "--out", workdir / "f16",
                        "--set", "numeric.precision=float16")
@@ -375,6 +397,8 @@ class TestEval:
 @pytest.mark.parametrize("case", [
     "out-dir-is-a-file", "empty-out-dir", "stem-with-a-separator", "empty-stem", "stem-with-a-nul",
     "gen-data-output-under-a-file", "eval-report-under-a-file", "eval-embeddings-under-a-file",
+    "gen-data-output-is-a-dir", "gen-data-empty-output", "eval-report-is-a-dir", "eval-embeddings-is-a-dir",
+    "checkpoint-path-is-a-dir", "metrics-path-is-a-dir", "epoch-checkpoint-path-is-a-dir",
 ])
 def test_output_path_that_cannot_be_made_is_usage_error(
     workdir, config_path, dataset_path, trained_run, capsys, monkeypatch, case
@@ -385,6 +409,10 @@ def test_output_path_that_cannot_be_made_is_usage_error(
 
     blocker = workdir / "blocker"
     blocker.write_text("a file, not a directory\n")
+    a_dir = workdir / "a-dir"
+    (a_dir / "model.ckpt").mkdir(parents=True, exist_ok=True)
+    (workdir / "metrics-dir" / "model-metrics.csv").mkdir(parents=True, exist_ok=True)
+    (workdir / "epoch-dir" / "model-epoch002.ckpt").mkdir(parents=True, exist_ok=True)
     checkpoint = trained_run / "model.ckpt"
     argv = {
         "out-dir-is-a-file": ["train", "-c", config_path, "--out", blocker],
@@ -395,7 +423,16 @@ def test_output_path_that_cannot_be_made_is_usage_error(
         "gen-data-output-under-a-file": ["gen-data", "-o", blocker / "x.skl"],
         "eval-report-under-a-file": ["eval", checkpoint, "-d", dataset_path, "--report", blocker / "r.csv"],
         "eval-embeddings-under-a-file": ["eval", checkpoint, "-d", dataset_path, "--embeddings", blocker / "e.tsv"],
+        "gen-data-output-is-a-dir": ["gen-data", "-o", a_dir],
+        "gen-data-empty-output": ["gen-data", "-o", ""],
+        "eval-report-is-a-dir": ["eval", checkpoint, "-d", dataset_path, "--report", a_dir],
+        "eval-embeddings-is-a-dir": ["eval", checkpoint, "-d", dataset_path, "--embeddings", a_dir],
+        "checkpoint-path-is-a-dir": ["train", "-c", config_path, "--out", a_dir],
+        "metrics-path-is-a-dir": ["train", "-c", config_path, "--out", workdir / "metrics-dir"],
+        "epoch-checkpoint-path-is-a-dir": ["train", "-c", config_path, "--out", workdir / "epoch-dir",
+                                           "--epochs", 3, "--set", "train.checkpoint_every=2"],
     }[case]
+    monkeypatch.setattr(cli, "generate_synthetic", fail)
     monkeypatch.setattr(train, "train_step", fail)
     monkeypatch.setattr(cli, "evaluate", fail)
     if "stem" in case or case == "empty-out-dir":  # checked before any data loads

@@ -25,6 +25,8 @@ from stdcl.data import (
     save_jsonl,
 )
 from stdcl.errors import ConfigError, DataFormatError
+from stdcl.experiments import DecouplingStudyConfig, ImprovementStudyConfig
+from stdcl.rng import seeded_rng
 
 
 def small_spec(**kw):
@@ -131,6 +133,65 @@ class TestSyntheticSpec:
             # mean over frames leaves base only -> frame deviations sum to 0
             dev = joint_mean - joint_mean.mean(axis=0)
             assert abs(dev.sum(axis=0)).max() < 1e-9
+
+
+def per_sequence_generator(spec: SyntheticSpec, seed: int) -> SkeletonDataset:
+    """The generator as it was before it drew its noise one class block at a time: one draw per sequence."""
+    base_rng = seeded_rng(seed, "synthetic/base")
+    offset_rng = seeded_rng(seed, "synthetic/spatial")
+    noise_rng = seeded_rng(seed, "synthetic/noise")
+    base = base_rng.standard_normal((spec.joints, 1, 3))
+    direction = base_rng.standard_normal(3)
+    direction *= np.sqrt(3.0) / np.linalg.norm(direction)
+    offsets = data._spatial_offsets(spec, offset_rng)
+    envelopes = spec.motif_scale * data._temporal_envelopes(spec)
+    sequences = []
+    for a in range(spec.num_spatial):
+        for b in range(spec.num_temporal):
+            for _ in range(spec.per_class):
+                coords = (
+                    base
+                    + offsets[a][:, None, :]
+                    + envelopes[b][None, :, None] * direction[None, None, :]
+                    + noise_rng.normal(0.0, spec.noise_std, (spec.joints, spec.frames, 3))
+                )
+                label = a * spec.num_temporal + b
+                sequences.append(SkeletonSequence(coords=coords, label=label, index=len(sequences)))
+    return SkeletonDataset(sequences=sequences, num_classes=spec.num_classes)
+
+
+_GENERATOR_SPECS = {
+    # the three benchmark workloads (benchmarks/workloads.py)
+    "decoupling": DecouplingStudyConfig().synthetic_spec(),
+    "improvement": ImprovementStudyConfig().synthetic_spec(),
+    "large-bank": SyntheticSpec(num_spatial=4, num_temporal=4, per_class=100, noise_std=0.1),
+    "one-per-class": SyntheticSpec(per_class=1),
+    "no-noise": SyntheticSpec(noise_std=0.0, per_class=3),
+    "most-temporal-factors": SyntheticSpec(frames=8, num_spatial=1, num_temporal=4, per_class=3),
+}
+
+
+class TestGeneratorBlocks:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("name", list(_GENERATOR_SPECS))
+    def test_matches_per_sequence_draws_bit_for_bit(self, name, seed):
+        spec = _GENERATOR_SPECS[name]
+        got, want = generate_synthetic(spec, seed=seed), per_sequence_generator(spec, seed)
+        assert len(got) == len(want) == spec.length
+        for g, w in zip(got, want):
+            assert (g.label, g.index) == (w.label, w.index)
+            assert g.coords.dtype == w.coords.dtype and g.coords.shape == w.coords.shape
+            assert g.coords.tobytes() == w.coords.tobytes(), f"{name} seed {seed}: sequence {g.index}"
+
+    def test_writing_one_sequence_leaves_the_others_unchanged(self):
+        ds = generate_synthetic(small_spec(per_class=4), seed=2)
+        before = [seq.coords.copy() for seq in ds]
+        for k in (0, 1, len(ds) - 1):  # the first two rows of a class block, and the last one
+            ds[k].coords[...] = -7.0
+            for i, seq in enumerate(ds):
+                if i != k:
+                    assert seq.coords.tobytes() == before[i].tobytes(), f"writing {k} changed {i}"
+            ds[k].coords[...] = before[k]
 
 
 class TestResample:

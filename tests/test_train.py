@@ -3,6 +3,9 @@
 import csv
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -120,6 +123,55 @@ class TestBuildModel:
         _, ds = tiny_dataset()
         with pytest.raises(ConfigError, match="framework"):
             embedding_report(off, ds)
+
+    def test_model_of_2_to_the_31_values_is_rejected_before_allocating(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("allocated the model")
+
+        monkeypatch.setattr(train, "init_params", fail)
+        monkeypatch.setattr(train, "init_decoupler", fail)
+        huge_channels = EncoderConfig(joints=4, frames=8, channels=2**30, hidden=(4,), kernel_size=3)
+        for framework_enabled in (True, False):
+            with pytest.raises(ConfigError, match=r"\d+ parameters; it must have fewer than 2\*\*31"):
+                build_model(huge_channels, 4, tiny_train(framework_enabled=framework_enabled, reduction=8))
+        # the decoupler's matrices count only when the framework is on
+        with pytest.raises(ConfigError, match="parameters"):
+            build_model(tiny_encoder(), 4, tiny_train(embed_dim=2**27))
+        monkeypatch.setattr(train, "init_params", lambda *args, **kwargs: {})
+        assert build_model(tiny_encoder(), 4, tiny_train(embed_dim=2**27, framework_enabled=False)).params == {}
+
+    def test_model_that_does_not_fit_in_memory_is_config_error(self):
+        """Under the 2**31 bound, a model larger than the address space allows ends in ConfigError."""
+        probe = textwrap.dedent("""
+            import math, resource
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+            from stdcl.encoder import EncoderConfig, param_shapes
+            from stdcl.errors import ConfigError
+            from stdcl.train import TrainConfig, build_model
+            cfg = EncoderConfig(joints=4, frames=8, channels=2**25, hidden=(16,), kernel_size=3)
+            print(sum(math.prod(shape) for shape in param_shapes(cfg, 4).values()))
+            try:
+                build_model(cfg, 4, TrainConfig(framework_enabled=False))
+            except ConfigError as exc:
+                print(exc)
+        """)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+        count, message = out.stdout.splitlines()
+        assert 2**30 < int(count) < 2**31  # 12 GiB of float64 or more
+        assert message == f"the model's {count} parameters do not fit in memory"
+
+    @pytest.mark.parametrize("count,allowed", [(2**31 - 1, True), (2**31, False)])
+    def test_parameter_bound_is_2_to_the_31(self, monkeypatch, count, allowed):
+        monkeypatch.setattr(train, "param_shapes", lambda *args: {"w": (count // 2, 2), "b": (count % 2,)})
+        monkeypatch.setattr(train, "init_params", lambda *args, **kwargs: {})
+        off = tiny_train(framework_enabled=False)
+        if allowed:
+            assert build_model(tiny_encoder(), 4, off).params == {}
+        else:
+            with pytest.raises(ConfigError, match=f"{count} parameters"):
+                build_model(tiny_encoder(), 4, off)
 
     def test_named_tensors_prefixes_decoupler(self):
         """One name table: the decoupler's matrices sit in `params` under their checkpoint names."""
@@ -347,6 +399,24 @@ class TestFit:
         for row in train_rows:
             float(row[3])  # loss_ce parses
             int(row[8-1])  # skipped_positives parses as int
+
+    def test_periodic_checkpoints_and_the_directories_in_their_way(self, tmp_path, monkeypatch):
+        _, ds = tiny_dataset()
+        cfg = tiny_train(epochs=5, checkpoint_every=2)
+        # directories named like no file this fit writes: the last epoch's (saved as model.ckpt),
+        # an epoch off the schedule, epoch 2 spelt another way, and another stem
+        for name in ("model-epoch005.ckpt", "model-epoch003.ckpt", "model-epoch0002.ckpt", "other.ckpt"):
+            (tmp_path / "run" / name).mkdir(parents=True)
+        fit(ds, tiny_encoder(), cfg, out_dir=str(tmp_path / "run"))
+        written = sorted(p.name for p in (tmp_path / "run").iterdir() if p.is_file())
+        assert written == ["model-epoch002.ckpt", "model-epoch004.ckpt", "model-metrics.csv", "model.ckpt"]
+        assert [load_model(str(tmp_path / "run" / f"model-epoch00{e}.ckpt"))[1]["epoch"] for e in (2, 4)] == [2, 4]
+
+        monkeypatch.setattr(train, "train_step", lambda *args, **kwargs: pytest.fail("trained"))
+        for name in ("model-epoch004.ckpt", "model-metrics.csv", "model.ckpt"):
+            (tmp_path / name / name).mkdir(parents=True)
+            with pytest.raises(ConfigError, match=f"{name}' is a directory"):
+                fit(ds, tiny_encoder(), cfg, out_dir=str(tmp_path / name))
 
     def test_checkpoint_excludes_banks(self, tmp_path):
         _, ds = tiny_dataset()
