@@ -1,8 +1,9 @@
-"""Skeleton sequence datasets: containers, file formats, synthetic generator.
+"""Skeleton sequence datasets: container, file formats, synthetic generator.
 
-A sequence is a (joints, frames, 3) coordinate array with an integer
-class label and a stable dataset index (the index doubles as the
-sequence's slot in the contrastive memory banks).
+A dataset is one (N, joints, frames, 3) coordinate array and one (N,)
+label array.  Sequence i is row i of both, and i is also its slot in the
+contrastive memory banks.  Files store each sequence's index, and the
+readers put every sequence in the row its index names.
 
 The synthetic generator builds sequences from two independent factors:
 
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,76 +37,61 @@ from .rng import seeded_rng
 BINARY_MAGIC = b"SKL1"
 
 
-@dataclass
-class SkeletonSequence:
-    coords: np.ndarray  # (joints, frames, 3) float
+class SkeletonSequence(NamedTuple):
+    """Sequence `index` of a dataset: a (joints, frames, 3) view of its coordinates and its label."""
+
+    coords: np.ndarray
     label: int
     index: int
-
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=np.float64)
-        if self.coords.ndim != 3 or self.coords.shape[2] != 3:
-            raise DataFormatError(f"sequence coords must be (joints, frames, 3), got {self.coords.shape}")
-        if not np.isfinite(self.coords).all():
-            raise DataFormatError(f"sequence {self.index}: non-finite coordinates")
-        if self.label < 0:
-            raise DataFormatError(f"sequence {self.index}: negative label {self.label}")
-        if self.index < 0:
-            raise DataFormatError(f"negative sequence index {self.index}")
-
-    @property
-    def joints(self) -> int:
-        return self.coords.shape[0]
-
-    @property
-    def frames(self) -> int:
-        return self.coords.shape[1]
 
 
 @dataclass
 class SkeletonDataset:
-    sequences: list[SkeletonSequence]
+    """`coords[i]` is sequence i, of class `targets[i]`, and i is its memory-bank slot."""
+
+    coords: np.ndarray  # (N, joints, frames, 3) float64
+    targets: np.ndarray  # (N,) int64
     num_classes: int
     name: str = ""
 
     def __post_init__(self):
-        if not self.sequences:
+        self.coords = np.ascontiguousarray(self.coords, dtype=np.float64)
+        self.targets = np.asarray(self.targets, dtype=np.int64)
+        if self.coords.ndim != 4 or self.coords.shape[3] != 3:
+            raise DataFormatError(f"dataset coords must be (sequences, joints, frames, 3), got {self.coords.shape}")
+        if not len(self.coords):
             raise DataFormatError("dataset is empty")
+        if self.targets.shape != (len(self.coords),):
+            raise DataFormatError(f"dataset has {len(self.coords)} sequences but labels of shape {self.targets.shape}")
         if self.num_classes < 2:
             raise DataFormatError(f"dataset needs at least 2 classes, got {self.num_classes}")
-        shape = (self.sequences[0].joints, self.sequences[0].frames)
-        for seq in self.sequences:
-            if (seq.joints, seq.frames) != shape:
-                raise DataFormatError(
-                    f"sequence {seq.index}: shape {(seq.joints, seq.frames)} differs from {shape}"
-                )
-            if seq.label >= self.num_classes:
-                raise DataFormatError(
-                    f"sequence {seq.index}: label {seq.label} outside [0, {self.num_classes})"
-                )
-        indices = sorted(seq.index for seq in self.sequences)
-        if indices != list(range(len(self.sequences))):
-            raise DataFormatError("sequence indices must be exactly 0..len-1 (bank slots)")
+        bad = np.flatnonzero(~np.isfinite(self.coords).all(axis=(1, 2, 3)))
+        if bad.size:
+            raise DataFormatError(f"sequence {bad[0]}: non-finite coordinates")
+        bad = np.flatnonzero((self.targets < 0) | (self.targets >= self.num_classes))
+        if bad.size:
+            raise DataFormatError(f"sequence {bad[0]}: label {self.targets[bad[0]]} outside [0, {self.num_classes})")
 
     def __len__(self) -> int:
-        return len(self.sequences)
+        return len(self.coords)
 
     def __iter__(self):
-        return iter(self.sequences)
+        return map(self.__getitem__, range(len(self)))
 
     def __getitem__(self, i: int) -> SkeletonSequence:
-        return self.sequences[i]
+        i = range(len(self))[i]
+        return SkeletonSequence(self.coords[i], int(self.targets[i]), i)
 
     @property
     def joints(self) -> int:
-        return self.sequences[0].joints
+        return self.coords.shape[1]
 
     @property
     def frames(self) -> int:
-        return self.sequences[0].frames
+        return self.coords.shape[2]
 
     def labels(self) -> np.ndarray:
-        return np.array([seq.label for seq in self.sequences], dtype=np.int64)
+        return self.targets.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +188,21 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0, name: str = "syntheti
     offsets = _spatial_offsets(spec, offset_rng)
     envelopes = spec.motif_scale * _temporal_envelopes(spec)
 
-    # One noise draw per class block: `normal` fills its output in order from
-    # the stream, so the bits are those of one draw per sequence.  Adding the
-    # motif into the noise in place gives the bits of motif + noise, since a
-    # floating-point sum of two terms does not depend on their order.  A
-    # class block, not the whole dataset, keeps the temporaries small.
-    sequences = []
+    # Each class's rows take one draw, scaled and shifted as `normal(0.0, noise_std)` does (adding
+    # 0.0 turns -0.0 into 0.0); the stream fills the rows in order, so the bits are those of one draw
+    # per sequence.  Adding the motif in place gives the bits of motif + noise, since a floating-point
+    # sum of two terms does not depend on their order.
+    coords = np.empty((spec.length, spec.joints, spec.frames, 3))
     for a in range(spec.num_spatial):
         for b in range(spec.num_temporal):
             label = a * spec.num_temporal + b
-            block = noise_rng.normal(0.0, spec.noise_std, (spec.per_class, spec.joints, spec.frames, 3))
-            block += base + offsets[a][:, None, :] + envelopes[b][None, :, None] * direction[None, None, :]
-            sequences.extend(
-                SkeletonSequence(coords=coords, label=label, index=index)
-                for index, coords in enumerate(block, start=len(sequences))
-            )
-    return SkeletonDataset(sequences=sequences, num_classes=spec.num_classes, name=name)
+            rows = coords[label * spec.per_class : (label + 1) * spec.per_class]
+            noise_rng.standard_normal(out=rows)
+            rows *= spec.noise_std
+            rows += 0.0
+            rows += base + offsets[a][:, None, :] + envelopes[b][None, :, None] * direction[None, None, :]
+    labels = np.repeat(np.arange(spec.num_classes), spec.per_class)
+    return SkeletonDataset(coords, labels, spec.num_classes, name)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +229,8 @@ def resample_time(coords: np.ndarray, frames: int) -> np.ndarray:
 def resample_dataset(ds: SkeletonDataset, frames: int) -> SkeletonDataset:
     if frames == ds.frames:
         return ds
-    sequences = [
-        SkeletonSequence(coords=resample_time(seq.coords, frames), label=seq.label, index=seq.index)
-        for seq in ds
-    ]
-    return SkeletonDataset(sequences=sequences, num_classes=ds.num_classes, name=ds.name)
+    coords = np.stack([resample_time(c, frames) for c in ds.coords])
+    return SkeletonDataset(coords, ds.targets, ds.num_classes, ds.name)
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +325,15 @@ def _json_arrays(rows: np.ndarray) -> list[str]:
 
 
 def save_jsonl(ds: SkeletonDataset, path: str) -> None:
-    seqs = ds.sequences
+    rows = ds.coords.reshape(len(ds), -1)
+    labels = ds.targets.tolist()
     with open(path, "w", encoding="utf-8") as f:
-        for at in range(0, len(seqs), JSONL_CHUNK):
-            chunk = seqs[at:at + JSONL_CHUNK]
-            arrays = _json_arrays(np.stack([seq.coords.reshape(-1) for seq in chunk]))
+        for at in range(0, len(ds), JSONL_CHUNK):
+            arrays = _json_arrays(rows[at:at + JSONL_CHUNK])
             f.write("".join(
-                f'{{"index": {seq.index:d}, "label": {seq.label:d}, "joints": {seq.joints:d}, '
-                f'"frames": {seq.frames:d}, "coords": {coords}}}\n'
-                for seq, coords in zip(chunk, arrays)
+                f'{{"index": {index:d}, "label": {labels[index]:d}, "joints": {ds.joints:d}, '
+                f'"frames": {ds.frames:d}, "coords": {coords}}}\n'
+                for index, coords in enumerate(arrays, start=at)
             ))
 
 
@@ -381,8 +364,22 @@ def _json_coords(raw: bytes, values) -> np.ndarray | None:
     return coords if coords.ndim == 1 else None
 
 
+def _in_slot_order(path: str, indices, coords: np.ndarray, labels) -> tuple:
+    """`coords` and `labels` reordered so that row i holds the sequence whose stored index is i;
+    DataFormatError unless the indices are a permutation of 0..N-1."""
+    indices = np.asarray(indices)
+    slots = np.arange(len(indices))
+    if np.array_equal(indices, slots):
+        return coords, labels
+    order = np.argsort(indices)
+    if not np.array_equal(indices[order], slots):
+        raise DataFormatError(f"{path}: sequence indices must be a permutation of 0..len-1 (bank slots)")
+    return coords[order], np.asarray(labels)[order]
+
+
 def _load_jsonl(path: str) -> SkeletonDataset:
-    sequences = []
+    rows, labels, indices = [], [], []
+    shape = None
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
             where = f"{path}:{lineno}"
@@ -411,28 +408,31 @@ def _load_jsonl(path: str) -> SkeletonDataset:
                     raise DataFormatError(
                         f"{where}: expected {joints * frames * 3} coordinates, got {coords.size}"
                     )
-                sequences.append(
-                    SkeletonSequence(coords=coords.reshape(joints, frames, 3), label=label, index=index)
-                )
+                shape = shape or (joints, frames)
+                if (joints, frames) != shape:
+                    raise DataFormatError(f"{where}: (joints, frames) = {(joints, frames)} differs from "
+                                          f"the first record's {shape}")
+                rows.append(coords)
+                labels.append(label)
+                indices.append(index)
             except KeyError as exc:
                 raise DataFormatError(f"{where}: missing field {exc}") from exc
             except (TypeError, ValueError, OverflowError) as exc:
                 raise DataFormatError(f"{where}: malformed record: {exc}") from None
-    if not sequences:
+    if not rows:
         raise DataFormatError(f"{path}: no records")
-    num_classes = max(seq.label for seq in sequences) + 1
-    return SkeletonDataset(sequences=sequences, num_classes=max(num_classes, 2), name=path)
+    num_classes = max(max(labels) + 1, 2)
+    coords, labels = _in_slot_order(path, indices, np.stack(rows).reshape(len(rows), *shape, 3), labels)
+    return SkeletonDataset(coords, labels, num_classes, path)
 
 
 def save_binary(ds: SkeletonDataset, path: str) -> None:
-    ordered = sorted(ds.sequences, key=lambda s: s.index)
     with open(path, "wb") as f:
         f.write(BINARY_MAGIC)
         f.write(struct.pack("<4i", ds.joints, ds.frames, ds.num_classes, len(ds)))
-        coords = np.stack([s.coords for s in ordered]).astype("<f4")
-        f.write(coords.tobytes())
-        f.write(np.array([s.label for s in ordered], dtype="<i4").tobytes())
-        f.write(np.array([s.index for s in ordered], dtype="<i4").tobytes())
+        f.write(ds.coords.astype("<f4").tobytes())
+        f.write(ds.targets.astype("<i4").tobytes())
+        f.write(np.arange(len(ds), dtype="<i4").tobytes())
 
 
 def _load_binary(path: str) -> SkeletonDataset:
@@ -457,11 +457,8 @@ def _load_binary(path: str) -> SkeletonDataset:
     labels = np.frombuffer(blob, dtype="<i4", count=count, offset=offset)
     offset += count * 4
     indices = np.frombuffer(blob, dtype="<i4", count=count, offset=offset)
-    sequences = [
-        SkeletonSequence(coords=coords[i], label=int(labels[i]), index=int(indices[i]))
-        for i in range(count)
-    ]
-    return SkeletonDataset(sequences=sequences, num_classes=num_classes, name=path)
+    coords, labels = _in_slot_order(path, indices, coords, labels)
+    return SkeletonDataset(coords, labels, num_classes, path)
 
 
 def save_dataset(ds: SkeletonDataset, path: str, fmt: str | None = None) -> None:

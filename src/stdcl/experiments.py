@@ -23,12 +23,11 @@ improvement study, where capacity matters and decoupling is not asserted.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SkeletonDataset, SkeletonSequence, SyntheticSpec, generate_synthetic
+from .data import SkeletonDataset, SyntheticSpec, generate_synthetic
 from .encoder import EncoderConfig
 from .errors import ConfigError
 from .metrics import silhouette_score
@@ -57,34 +56,28 @@ def stratified_split(ds: SkeletonDataset, eval_per_class: int) -> tuple[Skeleton
     """Hold out the last `eval_per_class` sequences of every class.
 
     Instance noise is drawn independently per sequence, so a positional
-    split within each class block is an unbiased holdout.  Both halves are
-    re-indexed 0..len-1 to stay valid as memory-bank slot assignments.
+    split within each class block is an unbiased holdout.  Each half lists
+    the classes in ascending order, each class's sequences in dataset
+    order, and is a copy whose rows are its bank slots 0..len-1.
     """
     if eval_per_class < 1:
         raise ConfigError(f"eval_per_class must be positive, got {eval_per_class}")
-    by_class: dict[int, list[SkeletonSequence]] = defaultdict(list)
-    for seq in ds:
-        by_class[seq.label].append(seq)
-    train_seqs: list[SkeletonSequence] = []
-    eval_seqs: list[SkeletonSequence] = []
-    for label in sorted(by_class):
-        seqs = by_class[label]
-        if eval_per_class >= len(seqs):
+    halves = {"train": [], "eval": []}
+    for label in np.unique(ds.targets):
+        members = np.flatnonzero(ds.targets == label)
+        if eval_per_class >= len(members):
             raise ConfigError(
-                f"class {label} has {len(seqs)} sequences; cannot hold out {eval_per_class}"
+                f"class {label} has {len(members)} sequences; cannot hold out {eval_per_class}"
             )
-        train_seqs.extend(seqs[: len(seqs) - eval_per_class])
-        eval_seqs.extend(seqs[len(seqs) - eval_per_class :])
+        halves["train"].append(members[:-eval_per_class])
+        halves["eval"].append(members[-eval_per_class:])
 
-    def rebuild(seqs: list[SkeletonSequence], suffix: str) -> SkeletonDataset:
-        rebuilt = [
-            SkeletonSequence(coords=seq.coords.copy(), label=seq.label, index=i)
-            for i, seq in enumerate(seqs)
-        ]
+    def subset(suffix: str) -> SkeletonDataset:
+        rows = np.concatenate(halves[suffix])
         name = f"{ds.name}/{suffix}" if ds.name else suffix
-        return SkeletonDataset(sequences=rebuilt, num_classes=ds.num_classes, name=name)
+        return SkeletonDataset(ds.coords[rows], ds.targets[rows], ds.num_classes, name)
 
-    return rebuild(train_seqs, "train"), rebuild(eval_seqs, "eval")
+    return subset("train"), subset("eval")
 
 
 # ---------------------------------------------------------------------------

@@ -282,23 +282,22 @@ def train_step(
     )
 
 
-def _coord_chunks(dataset: SkeletonDataset):
-    """(start, coords) for consecutive (<=TEST_CHUNK, joints, frames, 3) batches of the dataset."""
-    for start in range(0, len(dataset), TEST_CHUNK):
-        yield start, np.stack([seq.coords for seq in dataset.sequences[start : start + TEST_CHUNK]])
-
-
-def _test_logits(model: Model, coords: np.ndarray) -> np.ndarray:
-    """Tape-free (batch, K) logits for a (batch, joints, frames, 3) batch: encoder and classifier head only."""
+def _tape_free(model: Model, coords: np.ndarray, decoupled: bool = False):
+    """Tape-free forward of a (batch, joints, frames, 3) batch: the encoder, then the classifier head's
+    (batch, K) logits or, if `decoupled`, the decoupler's {"spatial", "temporal"} embeddings."""
     with tz.no_grad():
-        return classify(model.params, encode(model.params, model.encoder_cfg, coords)).data
+        feature_map = encode(model.params, model.encoder_cfg, coords)
+        if decoupled:
+            return {name: head.data for name, head in decouple(feature_map, model.params).items()}
+        return classify(model.params, feature_map).data
 
 
 def evaluate(model: Model, dataset: SkeletonDataset) -> EvalReport:
     """Top-1 accuracy over the test-time path; ties in the logits go to the lowest class."""
-    predictions = np.concatenate(
-        [np.argmax(_test_logits(model, coords), axis=1) for _, coords in _coord_chunks(dataset)]
-    )
+    predictions = np.concatenate([
+        np.argmax(_tape_free(model, dataset.coords[start : start + TEST_CHUNK]), axis=1)
+        for start in range(0, len(dataset), TEST_CHUNK)
+    ])
     labels = dataset.labels()
     return EvalReport(
         accuracy=top1_accuracy(predictions, labels),
@@ -309,7 +308,7 @@ def evaluate(model: Model, dataset: SkeletonDataset) -> EvalReport:
 
 def predict_logits(model: Model, coords: np.ndarray) -> np.ndarray:
     """Tape-free (K,) logits for one (joints, frames, 3) sequence; same path evaluate() scores."""
-    return _test_logits(model, np.asarray(coords)[None])[0]
+    return _tape_free(model, np.asarray(coords)[None])[0]
 
 
 def embedding_report(model: Model, dataset: SkeletonDataset) -> EmbeddingReport:
@@ -318,11 +317,10 @@ def embedding_report(model: Model, dataset: SkeletonDataset) -> EmbeddingReport:
         raise ConfigError("embedding report needs the decoupling branches (framework disabled)")
     spatial = np.zeros((len(dataset), model.params["decouple.spatial_embed"].shape[1]))
     temporal = np.zeros_like(spatial)
-    with tz.no_grad():
-        for start, coords in _coord_chunks(dataset):
-            heads = decouple(encode(model.params, model.encoder_cfg, coords), model.params)
-            spatial[start : start + len(coords)] = heads["spatial"].data
-            temporal[start : start + len(coords)] = heads["temporal"].data
+    for start in range(0, len(dataset), TEST_CHUNK):
+        heads = _tape_free(model, dataset.coords[start : start + TEST_CHUNK], decoupled=True)
+        spatial[start : start + TEST_CHUNK] = heads["spatial"]
+        temporal[start : start + TEST_CHUNK] = heads["temporal"]
     labels = dataset.labels()
     return EmbeddingReport(
         spatial=spatial,
@@ -477,6 +475,13 @@ def fit(
         raise DataFormatError(
             f"dataset has more classes ({dataset.num_classes}) than sequences ({len(dataset)}), "
             "so some class has no training sequence"
+        )
+    if eval_dataset is not None and (eval_dataset.coords.shape[1:] != dataset.coords.shape[1:]
+                                     or eval_dataset.num_classes > dataset.num_classes):
+        raise DataFormatError(
+            f"eval dataset has {eval_dataset.num_classes} classes of {eval_dataset.joints} joints x "
+            f"{eval_dataset.frames} frames; the training set has {dataset.num_classes} of "
+            f"{dataset.joints} x {dataset.frames}"
         )
     metrics_path = checkpoint_path = None
     saved_epochs = range(0)

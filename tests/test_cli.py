@@ -233,6 +233,25 @@ class TestTrain:
         assert code == cli.EXIT_USAGE
         assert "parameters do not fit in memory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, named", [
+        (("--joints", 5, "--spatial-motifs", 2, "--temporal-motifs", 2),
+         "eval dataset has 4 classes of 5 joints x 8 frames; the training set has 4 of 4 x 8"),
+        (("--joints", 4, "--spatial-motifs", 4, "--temporal-motifs", 4),
+         "eval dataset has 16 classes of 4 joints x 8 frames; the training set has 4 of 4 x 8"),
+    ], ids=["other-joints", "more-classes"])
+    def test_eval_set_that_does_not_fit_the_model_is_data_error(
+        self, workdir, config_path, capsys, monkeypatch, flags, named
+    ):
+        """An eval set with other sequence shapes, or more classes, fails before the first step, as in eval."""
+        eval_path = workdir / f"eval-{'-'.join(map(str, flags))}.jsonl"
+        assert run_cli("gen-data", *flags, "--frames", 8, "--per-class", 2, "-o", eval_path) == cli.EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(train, "train_step", lambda *args, **kwargs: pytest.fail("trained"))
+        code = run_cli("train", "-c", config_path, "--out", workdir / "eval-mismatch",
+                       "--set", f"data.eval_path={eval_path}")
+        assert code == cli.EXIT_DATA
+        assert named in capsys.readouterr().err
+
     def test_directory_named_as_the_stem_does_not_block_training(self, workdir, config_path):
         out = workdir / "stem-dir"
         (out / "model").mkdir(parents=True)

@@ -3,6 +3,7 @@
 import builtins
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -35,33 +36,79 @@ def small_spec(**kw):
     return SyntheticSpec(**defaults)
 
 
+def jsonl_record(index, label, joints=2, frames=4):
+    return json.dumps({"index": index, "label": label, "joints": joints, "frames": frames,
+                       "coords": [0.5] * (joints * frames * 3)}) + "\n"
+
+
 class TestContainers:
+    @pytest.mark.parametrize("shape", [(3, 2, 4), (3, 2, 4, 2), (3, 2, 4, 3, 1), ()])
+    def test_wrong_rank_or_last_axis(self, shape):
+        with pytest.raises(DataFormatError, match="sequences, joints, frames, 3"):
+            SkeletonDataset(np.zeros(shape), np.zeros(3, dtype=int), num_classes=2)
+
     def test_sequence_validation(self):
-        with pytest.raises(DataFormatError, match="joints, frames, 3"):
-            SkeletonSequence(coords=np.zeros((4, 5)), label=0, index=0)
-        with pytest.raises(DataFormatError, match="non-finite"):
-            SkeletonSequence(coords=np.full((2, 3, 3), np.nan), label=0, index=0)
-        with pytest.raises(DataFormatError, match="negative label"):
-            SkeletonSequence(coords=np.zeros((2, 3, 3)), label=-1, index=0)
-
-    def test_dataset_index_contract(self):
-        seqs = [SkeletonSequence(np.zeros((2, 4, 3)), label=0, index=i) for i in (0, 2)]
-        with pytest.raises(DataFormatError, match="0..len-1"):
-            SkeletonDataset(sequences=seqs, num_classes=2)
-
-    def test_dataset_shape_consistency(self):
-        seqs = [
-            SkeletonSequence(np.zeros((2, 4, 3)), label=0, index=0),
-            SkeletonSequence(np.zeros((2, 5, 3)), label=1, index=1),
-        ]
-        with pytest.raises(DataFormatError, match="differs"):
-            SkeletonDataset(sequences=seqs, num_classes=2)
+        """Every sequence's values are checked at once, and the first bad one is named."""
+        for bad in (np.nan, np.inf, -np.inf):
+            coords = np.zeros((5, 2, 4, 3))
+            coords[3, 1, 2, 0] = bad
+            coords[4, 0, 0, 2] = bad
+            with pytest.raises(DataFormatError, match="sequence 3: non-finite"):
+                SkeletonDataset(coords, np.zeros(5, dtype=int), num_classes=2)
 
     def test_label_range_enforced(self):
-        seqs = [SkeletonSequence(np.zeros((2, 4, 3)), label=5, index=0),
-                SkeletonSequence(np.zeros((2, 4, 3)), label=0, index=1)]
-        with pytest.raises(DataFormatError, match="outside"):
-            SkeletonDataset(sequences=seqs, num_classes=2)
+        for labels, named in (([0, 1, 5, 0], "sequence 2: label 5 outside"),
+                              ([0, -1, 0, 2], "sequence 1: label -1 outside")):
+            with pytest.raises(DataFormatError, match=named):
+                SkeletonDataset(np.zeros((4, 2, 4, 3)), labels, num_classes=2)
+
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 0, 1], [[0, 1, 0]], []])
+    def test_label_count_must_match(self, labels):
+        with pytest.raises(DataFormatError, match="3 sequences but labels of shape"):
+            SkeletonDataset(np.zeros((3, 2, 4, 3)), labels, num_classes=2)
+
+    def test_empty_dataset(self):
+        with pytest.raises(DataFormatError, match="empty"):
+            SkeletonDataset(np.zeros((0, 2, 4, 3)), [], num_classes=2)
+
+    @pytest.mark.parametrize("num_classes", [1, 0, -3])
+    def test_fewer_than_two_classes(self, num_classes):
+        with pytest.raises(DataFormatError, match="at least 2 classes"):
+            SkeletonDataset(np.zeros((2, 2, 4, 3)), [0, 0], num_classes=num_classes)
+
+    def test_sequences_are_views_of_the_rows(self):
+        coords = np.arange(4 * 2 * 4 * 3, dtype=np.float64).reshape(4, 2, 4, 3)
+        ds = SkeletonDataset(coords, [1, 0, 1, 0], num_classes=2, name="toy")
+        assert (len(ds), ds.joints, ds.frames) == (4, 2, 4)
+        assert all(isinstance(seq, SkeletonSequence) for seq in ds)
+        assert [(seq.label, seq.index) for seq in ds] == [(1, 0), (0, 1), (1, 2), (0, 3)]
+        assert ds[-1].index == 3 and ds[-1].label == 0 and type(ds[-1].label) is int
+        assert all(np.shares_memory(seq.coords, ds.coords) for seq in ds)
+        np.testing.assert_array_equal(ds[2].coords, coords[2])
+        with pytest.raises(IndexError):
+            ds[4]
+        labels = ds.labels()
+        labels[:] = 7
+        assert ds.labels().tolist() == [1, 0, 1, 0]
+
+    @pytest.mark.parametrize("indices", [[0, 2], [1, 1], [1, 2], [0, 1, 3]])
+    def test_dataset_index_contract(self, tmp_path, indices):
+        """A file's indices are bank slots: they must be a permutation of 0..len-1, in either format."""
+        n = len(indices)
+        jsonl = tmp_path / "d.jsonl"
+        jsonl.write_text("".join(jsonl_record(index, k % 2) for k, index in enumerate(indices)))
+        skl = tmp_path / "d.skl"
+        save_binary(SkeletonDataset(np.zeros((n, 2, 4, 3)), np.arange(n) % 2, num_classes=2), str(skl))
+        skl.write_bytes(skl.read_bytes()[:-4 * n] + np.array(indices, dtype="<i4").tobytes())
+        for path in (jsonl, skl):
+            with pytest.raises(DataFormatError, match=re.escape(f"{path}: sequence indices must be a permutation")):
+                load_dataset(str(path))
+
+    def test_dataset_shape_consistency(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(jsonl_record(0, 0) + jsonl_record(1, 1, frames=5))
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:2: (joints, frames) = (2, 5) differs")):
+            load_dataset(str(path))
 
 
 class TestSyntheticSpec:
@@ -145,19 +192,18 @@ def per_sequence_generator(spec: SyntheticSpec, seed: int) -> SkeletonDataset:
     direction *= np.sqrt(3.0) / np.linalg.norm(direction)
     offsets = data._spatial_offsets(spec, offset_rng)
     envelopes = spec.motif_scale * data._temporal_envelopes(spec)
-    sequences = []
+    sequences, labels = [], []
     for a in range(spec.num_spatial):
         for b in range(spec.num_temporal):
             for _ in range(spec.per_class):
-                coords = (
+                sequences.append(
                     base
                     + offsets[a][:, None, :]
                     + envelopes[b][None, :, None] * direction[None, None, :]
                     + noise_rng.normal(0.0, spec.noise_std, (spec.joints, spec.frames, 3))
                 )
-                label = a * spec.num_temporal + b
-                sequences.append(SkeletonSequence(coords=coords, label=label, index=len(sequences)))
-    return SkeletonDataset(sequences=sequences, num_classes=spec.num_classes)
+                labels.append(a * spec.num_temporal + b)
+    return SkeletonDataset(np.stack(sequences), labels, num_classes=spec.num_classes)
 
 
 _GENERATOR_SPECS = {
@@ -235,6 +281,43 @@ class TestFileFormats:
         for a, b in zip(ds, back):
             assert a.label == b.label and a.index == b.index
             np.testing.assert_allclose(a.coords, b.coords, atol=1e-6)  # float32 payload
+
+    def test_round_trips_give_identical_arrays(self, tmp_path):
+        """JSONL keeps each value rounded to 9 places, SKL1 each value as float32; both keep the labels."""
+        ds = generate_synthetic(small_spec(), seed=2)
+        stored = {"d.jsonl": _round9(ds.coords).reshape(ds.coords.shape),
+                  "d.skl": ds.coords.astype(np.float32).astype(np.float64)}
+        quantized = SkeletonDataset(np.round(ds.coords * 256) / 256, ds.targets, ds.num_classes)  # 8 places
+        for name, want in stored.items():
+            save_dataset(ds, str(tmp_path / name))
+            back = load_dataset(str(tmp_path / name))
+            assert back.coords.dtype == np.float64 and back.coords.flags.c_contiguous
+            assert back.coords.tobytes() == want.tobytes()
+            assert back.targets.tobytes() == ds.targets.tobytes() and back.num_classes == ds.num_classes
+            # values that both formats hold exactly come back as they were, from either format
+            save_dataset(quantized, str(tmp_path / f"q-{name}"))
+            assert load_dataset(str(tmp_path / f"q-{name}")).coords.tobytes() == quantized.coords.tobytes()
+
+    @pytest.mark.parametrize("name", ["d.jsonl", "d.skl"])
+    def test_records_load_in_index_order(self, tmp_path, name):
+        ds = generate_synthetic(small_spec(), seed=6)
+        path = tmp_path / name
+        save_dataset(ds, str(path))
+        order = np.random.default_rng(0).permutation(len(ds))
+        if name.endswith(".jsonl"):
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(lines[i] for i in order))
+        else:
+            blob = path.read_bytes()
+            header, n = blob[:20], len(ds)
+            coords = np.frombuffer(blob, "<f4", offset=20, count=ds.coords.size).reshape(n, -1)
+            labels, indices = np.frombuffer(blob[20 + coords.nbytes:], "<i4").reshape(2, n)
+            path.write_bytes(header + coords[order].tobytes() + labels[order].tobytes() + indices[order].tobytes())
+        back = load_dataset(str(path))
+        save_dataset(ds, str(tmp_path / f"ordered-{name}"))
+        want = load_dataset(str(tmp_path / f"ordered-{name}"))
+        assert back.coords.tobytes() == want.coords.tobytes()
+        assert back.targets.tobytes() == want.targets.tobytes()
 
     def test_format_sniffing(self, tmp_path):
         ds = generate_synthetic(small_spec(), seed=2)
@@ -320,8 +403,8 @@ class TestFileFormats:
             json.dumps({
                 "index": seq.index,
                 "label": seq.label,
-                "joints": seq.joints,
-                "frames": seq.frames,
+                "joints": ds.joints,
+                "frames": ds.frames,
                 "coords": [round(float(v), 9) for v in seq.coords.reshape(-1)],
             }) + "\n"
             for seq in ds
@@ -342,8 +425,8 @@ class TestFileFormats:
             json.dumps({
                 "index": seq.index,
                 "label": seq.label,
-                "joints": seq.joints,
-                "frames": seq.frames,
+                "joints": ds.joints,
+                "frames": ds.frames,
                 "coords": [round(float(v), 9) for v in seq.coords.reshape(-1)],
             }) + "\n"
             for seq in ds

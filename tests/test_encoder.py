@@ -5,7 +5,7 @@ import pytest
 
 from stdcl import encoder, instrumentation
 from stdcl import tensor as tz
-from stdcl.data import SkeletonDataset, SkeletonSequence
+from stdcl.data import SkeletonDataset
 from stdcl.decoupling import decouple, init_decoupler
 from stdcl.encoder import EncoderConfig, classify, encode, init_params, mixing_matrix, param_shapes
 from stdcl.errors import ConfigError, DimensionError
@@ -159,8 +159,7 @@ def tiny_model(params, cfg):
 
 
 def dataset_of(coords, labels):
-    seqs = [SkeletonSequence(c, int(label), i) for i, (c, label) in enumerate(zip(coords, labels))]
-    return SkeletonDataset(seqs, num_classes=4)
+    return SkeletonDataset(coords, labels, num_classes=4)
 
 
 class TestInferencePath:

@@ -13,10 +13,10 @@ import pytest
 from stdcl import instrumentation, train
 from stdcl import tensor as tz
 from stdcl.contrast import make_banks
-from stdcl.data import SyntheticSpec, generate_synthetic
+from stdcl.data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from stdcl.decoupling import decouple
 from stdcl.encoder import EncoderConfig, classify, encode
-from stdcl.errors import ConfigError
+from stdcl.errors import ConfigError, DataFormatError
 from stdcl.tensor import Tensor
 from stdcl.train import (
     METRICS_HEADER,
@@ -332,6 +332,34 @@ class TestFit:
         assert os.path.exists(result.checkpoint_path)
         with open(result.metrics_path) as f:
             assert f.read().strip() == ",".join(METRICS_HEADER)
+
+    def test_shuffled_jsonl_trains_to_the_same_checkpoint_bytes(self, tmp_path):
+        """Each record's index names its bank slot and its row, whatever the line order of the file."""
+        _, ds = tiny_dataset(per_class=4)
+        ordered, shuffled = tmp_path / "ordered.jsonl", tmp_path / "shuffled.jsonl"
+        save_dataset(ds, str(ordered))
+        lines = ordered.read_text().splitlines(keepends=True)
+        shuffled.write_text("".join(lines[i] for i in np.random.default_rng(3).permutation(len(lines))))
+        assert shuffled.read_text() != ordered.read_text()
+        blobs = {}
+        for path in (ordered, shuffled):
+            result = fit(load_dataset(str(path)), tiny_encoder(), tiny_train(), out_dir=str(tmp_path / path.stem))
+            with open(result.checkpoint_path, "rb") as f:
+                blobs[path.stem] = f.read()
+        assert blobs["shuffled"] == blobs["ordered"]
+
+    @pytest.mark.parametrize("joints, frames, classes", [(5, 8, 2), (4, 12, 2), (4, 8, 4)])
+    def test_eval_set_that_does_not_fit_the_model_is_rejected_before_training(
+        self, tmp_path, monkeypatch, joints, frames, classes
+    ):
+        monkeypatch.setattr(train, "train_step", lambda *args, **kwargs: pytest.fail("trained"))
+        spec = SyntheticSpec(joints=4, frames=8, num_spatial=1, num_temporal=2, per_class=3, noise_std=0.05)
+        eval_spec = SyntheticSpec(joints=joints, frames=frames, num_spatial=classes // 2, num_temporal=2,
+                                  per_class=2, noise_std=0.05)
+        with pytest.raises(DataFormatError, match="eval dataset"):
+            fit(generate_synthetic(spec), tiny_encoder(), tiny_train(), out_dir=str(tmp_path),
+                eval_dataset=generate_synthetic(eval_spec))
+        assert not os.listdir(tmp_path)
 
     def test_same_seed_bitwise_identical(self, tmp_path):
         _, ds = tiny_dataset()
