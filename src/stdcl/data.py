@@ -378,9 +378,10 @@ def _in_slot_order(path: str, indices, coords: np.ndarray, labels) -> tuple:
 
 
 def _load_jsonl(path: str) -> SkeletonDataset:
-    rows, labels, indices = [], [], []
-    shape = None
+    rows, shape, labels, indices = None, None, [], []
     with open(path, "rb") as f:
+        lines = sum(1 for _ in f)  # at least the record count: each record's coordinates go straight into one array
+        f.seek(0)
         for lineno, raw in enumerate(f, start=1):
             where = f"{path}:{lineno}"
             try:
@@ -412,17 +413,20 @@ def _load_jsonl(path: str) -> SkeletonDataset:
                 if (joints, frames) != shape:
                     raise DataFormatError(f"{where}: (joints, frames) = {(joints, frames)} differs from "
                                           f"the first record's {shape}")
-                rows.append(coords)
+                if rows is None:
+                    rows = np.empty((lines, coords.size))
+                rows[len(labels)] = coords
                 labels.append(label)
                 indices.append(index)
             except KeyError as exc:
                 raise DataFormatError(f"{where}: missing field {exc}") from exc
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, ValueError, OverflowError, MemoryError) as exc:
                 raise DataFormatError(f"{where}: malformed record: {exc}") from None
-    if not rows:
+    if not labels:
         raise DataFormatError(f"{path}: no records")
     num_classes = max(max(labels) + 1, 2)
-    coords, labels = _in_slot_order(path, indices, np.stack(rows).reshape(len(rows), *shape, 3), labels)
+    coords = rows[: len(labels)].reshape(len(labels), *shape, 3)
+    coords, labels = _in_slot_order(path, indices, coords, labels)
     return SkeletonDataset(coords, labels, num_classes, path)
 
 

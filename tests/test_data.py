@@ -4,6 +4,9 @@ import builtins
 import json
 import os
 import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -91,18 +94,18 @@ class TestContainers:
         labels[:] = 7
         assert ds.labels().tolist() == [1, 0, 1, 0]
 
-    @pytest.mark.parametrize("indices", [[0, 2], [1, 1], [1, 2], [0, 1, 3]])
-    def test_dataset_index_contract(self, tmp_path, indices):
+    def test_dataset_index_contract(self, tmp_path):
         """A file's indices are bank slots: they must be a permutation of 0..len-1, in either format."""
-        n = len(indices)
-        jsonl = tmp_path / "d.jsonl"
-        jsonl.write_text("".join(jsonl_record(index, k % 2) for k, index in enumerate(indices)))
-        skl = tmp_path / "d.skl"
-        save_binary(SkeletonDataset(np.zeros((n, 2, 4, 3)), np.arange(n) % 2, num_classes=2), str(skl))
-        skl.write_bytes(skl.read_bytes()[:-4 * n] + np.array(indices, dtype="<i4").tobytes())
-        for path in (jsonl, skl):
-            with pytest.raises(DataFormatError, match=re.escape(f"{path}: sequence indices must be a permutation")):
-                load_dataset(str(path))
+        for indices in ([0, 2], [1, 1], [1, 2], [0, 1, 3]):
+            n = len(indices)
+            jsonl = tmp_path / "d.jsonl"
+            jsonl.write_text("".join(jsonl_record(index, k % 2) for k, index in enumerate(indices)))
+            skl = tmp_path / "d.skl"
+            save_binary(SkeletonDataset(np.zeros((n, 2, 4, 3)), np.arange(n) % 2, num_classes=2), str(skl))
+            skl.write_bytes(skl.read_bytes()[:-4 * n] + np.array(indices, dtype="<i4").tobytes())
+            for path in (jsonl, skl):
+                with pytest.raises(DataFormatError, match=re.escape(f"{path}: sequence indices must be a permutation")):
+                    load_dataset(str(path))
 
     def test_dataset_shape_consistency(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -345,6 +348,25 @@ class TestFileFormats:
         path.write_text('{"index": 0, "label": 0, "joints": 2, "frames": 2, "coords": [0,0,0,0,0,0,0,0,0,0,0,0]}\nnot json\n')
         with pytest.raises(DataFormatError, match=":2"):
             load_dataset(str(path))
+
+    def test_jsonl_whose_array_does_not_fit_in_memory_is_data_error(self, tmp_path):
+        """The array is sized by the file's line count; one too large for the address space ends in DataFormatError."""
+        path = tmp_path / "wide.jsonl"
+        path.write_text(jsonl_record(0, 0, joints=20, frames=20) + "\n" * 2**19)  # 2**19 + 1 rows of 9,600 bytes
+        probe = textwrap.dedent(f"""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+            from stdcl.data import load_dataset
+            from stdcl.errors import DataFormatError
+            try:
+                load_dataset({str(path)!r})
+            except DataFormatError as exc:
+                print(exc)
+        """)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.startswith(f"{path}:1: malformed record: Unable to allocate")
 
     def test_jsonl_wrong_coord_count(self, tmp_path):
         path = tmp_path / "bad.jsonl"
