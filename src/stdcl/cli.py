@@ -35,6 +35,7 @@ from .errors import (
 from .gradcheck import registered_ops, run_op_checks, run_pipeline_check
 from .train import (
     TrainConfig,
+    check_fits,
     embedding_report,
     evaluate,
     export_embeddings_tsv,
@@ -179,17 +180,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, meta = load_model(args.checkpoint)
     dataset = _load_dataset_checked(args.data)
-    if dataset.num_classes > model.num_classes:
-        raise DataFormatError(
-            f"dataset has {dataset.num_classes} classes but the checkpoint was "
-            f"trained with {model.num_classes}"
-        )
-    enc = model.encoder_cfg
-    if (dataset.joints, dataset.frames) != (enc.joints, enc.frames):
-        raise DataFormatError(
-            f"dataset sequences have {dataset.joints} joints x {dataset.frames} frames but the "
-            f"checkpoint's encoder expects {enc.joints} x {enc.frames}"
-        )
+    check_fits(dataset, model.encoder_cfg, model.num_classes)
     report_path = args.report or os.path.join(os.path.dirname(os.path.abspath(args.checkpoint)), "eval.csv")
     for path in filter(None, (report_path, args.embeddings)):
         _ensure_parent(path)
@@ -257,8 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen_data)
 
     train = sub.add_parser("train", help="train a model from a config file")
-    train.add_argument("-c", "--config", help="flat key=value config file")
-    train.add_argument("--from-manifest", help="reproduce a run from its manifest")
+    source = train.add_mutually_exclusive_group()
+    source.add_argument("-c", "--config", help="flat key=value config file")
+    source.add_argument("--from-manifest", help="reproduce a run from its manifest")
     train.add_argument("--no-framework", action="store_true",
                        help="disable the contrastive framework (baseline cross-entropy)")
     train.add_argument("--tau", type=float, default=None, help="override contrast.tau")

@@ -129,10 +129,13 @@ class SyntheticSpec:
             )
         if self.per_class < 1:
             raise ConfigError("per_class must be positive")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be non-negative")
-        if self.motif_scale <= 0:
-            raise ConfigError("motif_scale must be positive")
+        if max(self.joints, self.frames, self.length) >= 2**31:  # the sizes SKL1's int32 header stores
+            raise ConfigError(f"joints ({self.joints}), frames ({self.frames}) and sequences ({self.length}) "
+                              "must each be below 2**31")
+        if not 0 <= self.noise_std < np.inf:
+            raise ConfigError("noise_std must be finite and non-negative")
+        if not 0 < self.motif_scale < np.inf:
+            raise ConfigError("motif_scale must be finite and positive")
 
     @property
     def num_classes(self) -> int:
@@ -176,33 +179,38 @@ def _temporal_envelopes(spec: SyntheticSpec) -> np.ndarray:
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int = 0, name: str = "synthetic") -> SkeletonDataset:
-    base_rng = seeded_rng(seed, "synthetic/base")
-    offset_rng = seeded_rng(seed, "synthetic/spatial")
-    noise_rng = seeded_rng(seed, "synthetic/noise")
+    """The dataset `spec` describes, drawn from `seed`; ConfigError if its values do not fit in memory."""
+    try:
+        base_rng = seeded_rng(seed, "synthetic/base")
+        offset_rng = seeded_rng(seed, "synthetic/spatial")
+        noise_rng = seeded_rng(seed, "synthetic/noise")
 
-    base = base_rng.standard_normal((spec.joints, 1, 3))
-    # unit RMS per element so the temporal term carries the same
-    # per-element energy (motif_scale) as the spatial offsets
-    direction = base_rng.standard_normal(3)
-    direction *= np.sqrt(3.0) / np.linalg.norm(direction)
-    offsets = _spatial_offsets(spec, offset_rng)
-    envelopes = spec.motif_scale * _temporal_envelopes(spec)
+        base = base_rng.standard_normal((spec.joints, 1, 3))
+        # unit RMS per element so the temporal term carries the same
+        # per-element energy (motif_scale) as the spatial offsets
+        direction = base_rng.standard_normal(3)
+        direction *= np.sqrt(3.0) / np.linalg.norm(direction)
+        offsets = _spatial_offsets(spec, offset_rng)
+        envelopes = spec.motif_scale * _temporal_envelopes(spec)
 
-    # Each class's rows take one draw, scaled and shifted as `normal(0.0, noise_std)` does (adding
-    # 0.0 turns -0.0 into 0.0); the stream fills the rows in order, so the bits are those of one draw
-    # per sequence.  Adding the motif in place gives the bits of motif + noise, since a floating-point
-    # sum of two terms does not depend on their order.
-    coords = np.empty((spec.length, spec.joints, spec.frames, 3))
-    for a in range(spec.num_spatial):
-        for b in range(spec.num_temporal):
-            label = a * spec.num_temporal + b
-            rows = coords[label * spec.per_class : (label + 1) * spec.per_class]
-            noise_rng.standard_normal(out=rows)
-            rows *= spec.noise_std
-            rows += 0.0
-            rows += base + offsets[a][:, None, :] + envelopes[b][None, :, None] * direction[None, None, :]
-    labels = np.repeat(np.arange(spec.num_classes), spec.per_class)
-    return SkeletonDataset(coords, labels, spec.num_classes, name)
+        # Each class's rows take one draw, scaled and shifted as `normal(0.0, noise_std)` does (adding
+        # 0.0 turns -0.0 into 0.0); the stream fills the rows in order, so the bits are those of one draw
+        # per sequence.  Adding the motif in place gives the bits of motif + noise, since a floating-point
+        # sum of two terms does not depend on their order.
+        coords = np.empty((spec.length, spec.joints, spec.frames, 3))
+        for a in range(spec.num_spatial):
+            for b in range(spec.num_temporal):
+                label = a * spec.num_temporal + b
+                rows = coords[label * spec.per_class : (label + 1) * spec.per_class]
+                noise_rng.standard_normal(out=rows)
+                rows *= spec.noise_std
+                rows += 0.0
+                rows += base + offsets[a][:, None, :] + envelopes[b][None, :, None] * direction[None, None, :]
+        labels = np.repeat(np.arange(spec.num_classes), spec.per_class)
+        return SkeletonDataset(coords, labels, spec.num_classes, name)
+    except MemoryError:
+        count = spec.length * spec.joints * spec.frames * 3
+        raise ConfigError(f"the dataset's {count} coordinates do not fit in memory") from None
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +372,20 @@ def _json_coords(raw: bytes, values) -> np.ndarray | None:
     return coords if coords.ndim == 1 else None
 
 
-def _in_slot_order(path: str, indices, coords: np.ndarray, labels) -> tuple:
-    """`coords` and `labels` reordered so that row i holds the sequence whose stored index is i;
-    DataFormatError unless the indices are a permutation of 0..N-1."""
+def _dataset_in_slot_order(path: str, indices, coords: np.ndarray, labels, num_classes: int) -> SkeletonDataset:
+    """The dataset of file `path` whose row i holds the sequence stored with index i; DataFormatError
+    naming `path` unless the indices are a permutation of 0..N-1 and the sequences pass its checks."""
     indices = np.asarray(indices)
     slots = np.arange(len(indices))
-    if np.array_equal(indices, slots):
-        return coords, labels
-    order = np.argsort(indices)
-    if not np.array_equal(indices[order], slots):
-        raise DataFormatError(f"{path}: sequence indices must be a permutation of 0..len-1 (bank slots)")
-    return coords[order], np.asarray(labels)[order]
+    if not np.array_equal(indices, slots):  # in-order files keep their arrays uncopied
+        order = np.argsort(indices)
+        if not np.array_equal(indices[order], slots):
+            raise DataFormatError(f"{path}: sequence indices must be a permutation of 0..len-1 (bank slots)")
+        coords, labels = coords[order], np.asarray(labels)[order]
+    try:
+        return SkeletonDataset(coords, labels, num_classes, path)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def _load_jsonl(path: str) -> SkeletonDataset:
@@ -426,8 +437,7 @@ def _load_jsonl(path: str) -> SkeletonDataset:
         raise DataFormatError(f"{path}: no records")
     num_classes = max(max(labels) + 1, 2)
     coords = rows[: len(labels)].reshape(len(labels), *shape, 3)
-    coords, labels = _in_slot_order(path, indices, coords, labels)
-    return SkeletonDataset(coords, labels, num_classes, path)
+    return _dataset_in_slot_order(path, indices, coords, labels, num_classes)
 
 
 def save_binary(ds: SkeletonDataset, path: str) -> None:
@@ -461,8 +471,7 @@ def _load_binary(path: str) -> SkeletonDataset:
     labels = np.frombuffer(blob, dtype="<i4", count=count, offset=offset)
     offset += count * 4
     indices = np.frombuffer(blob, dtype="<i4", count=count, offset=offset)
-    coords, labels = _in_slot_order(path, indices, coords, labels)
-    return SkeletonDataset(coords, labels, num_classes, path)
+    return _dataset_in_slot_order(path, indices, coords, labels, num_classes)
 
 
 def save_dataset(ds: SkeletonDataset, path: str, fmt: str | None = None) -> None:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -141,7 +140,6 @@ class StepRecord:
     loss_temporal: float
     total: float
     skipped_positives: int
-    wall_time: float  # kept in memory only; excluded from the metrics CSV
 
 
 @dataclass
@@ -200,33 +198,47 @@ class SGD:
             t.data -= lr * v
 
 
+def model_shapes(encoder_cfg: EncoderConfig, num_classes: int, embed_dim: int | None = None,
+                 reduction: int | None = None) -> dict:
+    """Checkpoint name -> shape of each tensor of the model, allocating nothing; the decoupler's
+    matrices are in it when `embed_dim` is given."""
+    shapes = param_shapes(encoder_cfg, num_classes)
+    if embed_dim is not None:
+        shapes.update(decoupler_shapes(joints=encoder_cfg.joints, out_frames=encoder_cfg.out_frames,
+                                       channels=encoder_cfg.channels, reduction=reduction, dim=embed_dim))
+    return shapes
+
+
 def build_model(encoder_cfg: EncoderConfig, num_classes: int, cfg: TrainConfig) -> Model:
     """The initialized model; ConfigError if it has 2**31 values or more (checked before anything
     is allocated) or if its values do not fit in memory."""
-    decoupler = dict(
-        joints=encoder_cfg.joints,
-        out_frames=encoder_cfg.out_frames,
-        channels=encoder_cfg.channels,
-        reduction=cfg.reduction,
-        dim=cfg.embed_dim,
-    )
-    shapes = param_shapes(encoder_cfg, num_classes)
-    if cfg.framework_enabled:
-        shapes.update(decoupler_shapes(**decoupler))
-    count = sum(math.prod(shape) for shape in shapes.values())
+    decoupler = (cfg.embed_dim, cfg.reduction) if cfg.framework_enabled else ()
+    count = sum(math.prod(shape) for shape in model_shapes(encoder_cfg, num_classes, *decoupler).values())
     if count >= 2**31:
         raise ConfigError(f"the model would have {count} parameters; it must have fewer than 2**31")
     try:
         params = init_params(encoder_cfg, num_classes, seed=cfg.seed)
         if cfg.framework_enabled:
-            params.update(init_decoupler(**decoupler, seed=cfg.seed))
+            params.update(init_decoupler(encoder_cfg.joints, encoder_cfg.out_frames, encoder_cfg.channels,
+                                         cfg.reduction, cfg.embed_dim, seed=cfg.seed))
     except MemoryError:
         raise ConfigError(f"the model's {count} parameters do not fit in memory") from None
     return Model(encoder_cfg=encoder_cfg, num_classes=num_classes, params=params)
 
 
+def check_fits(dataset: SkeletonDataset, encoder_cfg: EncoderConfig, num_classes: int) -> None:
+    """DataFormatError unless a model of `encoder_cfg` and `num_classes` classes can score `dataset`."""
+    enc = encoder_cfg
+    if (dataset.joints, dataset.frames) != (enc.joints, enc.frames) or dataset.num_classes > num_classes:
+        raise DataFormatError(
+            f"eval dataset has {dataset.num_classes} classes of {dataset.joints} joints x {dataset.frames} "
+            f"frames; the model takes at most {num_classes} classes, of {enc.joints} x {enc.frames}"
+        )
+
+
 def train_step(
-    batch: list,
+    dataset: SkeletonDataset,
+    rows: np.ndarray,
     model: Model,
     banks: dict,
     cfg: TrainConfig,
@@ -235,10 +247,9 @@ def train_step(
     epoch: int = 0,
     step: int = 0,
 ) -> StepRecord:
-    t0 = time.perf_counter()
-    labels = [seq.label for seq in batch]
-    indices = [seq.index for seq in batch]
-    feature_map = encode(model.params, model.encoder_cfg, np.stack([seq.coords for seq in batch]))
+    """One optimizer step on the sequences at `rows` of `dataset`; a row is also its sequence's bank slot."""
+    labels = dataset.targets[rows]
+    feature_map = encode(model.params, model.encoder_cfg, dataset.coords[rows])
     logits = classify(model.params, feature_map)
     # batch-mean loss terms in graph order; a head whose anchors have no live term stays out
     means = {"ce": tz.mean_over_axes(tz.softmax_cross_entropy(logits, labels), (0,))}
@@ -246,7 +257,7 @@ def train_step(
     skipped = 0
     if cfg.framework_enabled:
         embeddings = decouple(feature_map, model.params)
-        losses, skipped = contrast_losses(banks, embeddings, labels, indices, cfg.contrast_config())
+        losses, skipped = contrast_losses(banks, embeddings, labels, rows, cfg.contrast_config())
         means.update((name, tz.mean_over_axes(head, (0,))) for name, head in losses.items())
 
     weights = {"ce": cfg.lambda_ce, "spatial": cfg.lambda_spatial, "temporal": cfg.lambda_temporal}
@@ -268,7 +279,7 @@ def train_step(
         graph.backward()
         optimizer.step(lr)
     for name, anchors in embeddings.items():
-        banks[name].update(indices, anchors.data, labels)
+        banks[name].update(rows, anchors.data, labels)
 
     return StepRecord(
         epoch=epoch,
@@ -278,7 +289,6 @@ def train_step(
         loss_temporal=values["temporal"],
         total=total,
         skipped_positives=skipped,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -363,10 +373,6 @@ def model_meta(model: Model, cfg: TrainConfig | None = None, **extra) -> dict:
     return meta
 
 
-def save_model(path: str, model: Model, meta: dict) -> None:
-    save_checkpoint(path, model.params, meta)
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -396,12 +402,8 @@ def load_model(path: str) -> tuple[Model, dict]:
             if not _is_int(meta[key]):
                 raise TypeError(f"{key} must be an integer, got {meta[key]!r}")
         num_classes = meta["num_classes"]
-        expected = param_shapes(encoder_cfg, num_classes)
-        if has_decoupler:
-            expected.update(decoupler_shapes(
-                joints=encoder_cfg.joints, out_frames=encoder_cfg.out_frames,
-                channels=encoder_cfg.channels, reduction=meta["reduction"], dim=meta["embed_dim"],
-            ))
+        decoupler = (meta["embed_dim"], meta["reduction"]) if has_decoupler else ()
+        expected = model_shapes(encoder_cfg, num_classes, *decoupler)
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataFormatError(f"{path}: checkpoint meta does not describe a model: {exc}") from None
     if sorted(arrays) != sorted(expected):
@@ -476,13 +478,8 @@ def fit(
             f"dataset has more classes ({dataset.num_classes}) than sequences ({len(dataset)}), "
             "so some class has no training sequence"
         )
-    if eval_dataset is not None and (eval_dataset.coords.shape[1:] != dataset.coords.shape[1:]
-                                     or eval_dataset.num_classes > dataset.num_classes):
-        raise DataFormatError(
-            f"eval dataset has {eval_dataset.num_classes} classes of {eval_dataset.joints} joints x "
-            f"{eval_dataset.frames} frames; the training set has {dataset.num_classes} of "
-            f"{dataset.joints} x {dataset.frames}"
-        )
+    if eval_dataset is not None:
+        check_fits(eval_dataset, encoder_cfg, dataset.num_classes)
     metrics_path = checkpoint_path = None
     saved_epochs = range(0)
     if out_dir is not None:
@@ -506,8 +503,8 @@ def fit(
         lr = cfg.lr_at(epoch)
         order = shuffle_rng.permutation(len(dataset))
         for start in range(0, len(order), cfg.batch_size):
-            batch = [dataset[int(i)] for i in order[start : start + cfg.batch_size]]
-            record = train_step(batch, model, banks, cfg, optimizer, lr, epoch=epoch, step=step)
+            batch = order[start : start + cfg.batch_size]
+            record = train_step(dataset, batch, model, banks, cfg, optimizer, lr, epoch=epoch, step=step)
             history.append(record)
             rows.append(_metrics_row(record))
             step += 1
@@ -516,15 +513,12 @@ def fit(
             eval_history.append((epoch, report.accuracy))
             rows.append(["eval", epoch, "", "", "", "", "", "", f"{report.accuracy:.10g}"])
         if epoch + 1 in saved_epochs:
-            save_model(
-                _epoch_checkpoint_path(out_dir, stem, epoch + 1),
-                model,
-                model_meta(model, cfg, epoch=epoch + 1, step=step),
-            )
+            save_checkpoint(_epoch_checkpoint_path(out_dir, stem, epoch + 1), model.params,
+                            model_meta(model, cfg, epoch=epoch + 1, step=step))
 
     if out_dir is not None:
         write_metrics_csv(metrics_path, rows)
-        save_model(checkpoint_path, model, model_meta(model, cfg, epoch=cfg.epochs, step=step))
+        save_checkpoint(checkpoint_path, model.params, model_meta(model, cfg, epoch=cfg.epochs, step=step))
     return FitResult(
         model=model,
         banks=banks,

@@ -57,7 +57,7 @@ def write_eval_report(path, where):
     cfg = train.TrainConfig(framework_enabled=False)
     model = train.build_model(encoder_cfg, 4, cfg)
     ckpt = os.path.join(where, "m.ckpt")
-    train.save_model(ckpt, model, train.model_meta(model, cfg))
+    checkpoint.save_checkpoint(ckpt, model.params, train.model_meta(model, cfg))
     assert cli.main(["eval", ckpt, "-d", data, "--report", path]) == cli.EXIT_OK
 
 

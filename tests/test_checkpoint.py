@@ -13,7 +13,7 @@ from stdcl.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from stdcl.data import SyntheticSpec, generate_synthetic, save_dataset
 from stdcl.encoder import EncoderConfig
 from stdcl.errors import DataFormatError, StdclError
-from stdcl.train import TrainConfig, build_model, load_model, model_meta, save_model
+from stdcl.train import TrainConfig, build_model, load_model, model_meta
 
 
 def one_entry_checkpoint(path, dims, payload=b"\0" * 16):
@@ -62,13 +62,13 @@ def test_signalling_nan_payload_loads_without_warning(tmp_path):
 
 @pytest.fixture(scope="module")
 def saved_checkpoint(tmp_path_factory):
-    """A small model with both decoupler branches, as `save_model` writes it."""
+    """A small model with both decoupler branches, as `fit` writes it."""
     where = tmp_path_factory.mktemp("ckpt")
     encoder_cfg = EncoderConfig(joints=4, frames=8, channels=8, hidden=(4,), kernel_size=3)
     cfg = TrainConfig(embed_dim=6, reduction=2)
     model = build_model(encoder_cfg, 4, cfg)
     path = where / "model.ckpt"
-    save_model(str(path), model, model_meta(model, cfg))
+    save_checkpoint(str(path), model.params, model_meta(model, cfg))
     return where / "damaged.ckpt", path.read_bytes()
 
 

@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -103,6 +107,33 @@ class TestGenData:
                        "-o", workdir / "bad.jsonl")
         assert code == cli.EXIT_USAGE
         assert "frames // 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--noise-std", "--motif-scale"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_scale_is_usage_error(self, workdir, capsys, flag, value):
+        assert run_cli("gen-data", flag, value, "-o", workdir / "non-finite.jsonl") == cli.EXIT_USAGE
+        assert f"{flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
+        assert not (workdir / "non-finite.jsonl").exists()
+
+    def test_sizes_past_the_header_or_the_memory_are_usage_errors(self, tmp_path):
+        """Under a 3 GiB address space, 614 GB of coordinates and 2**31 joints or more both exit 2."""
+        output = tmp_path / "big.skl"
+        probe = textwrap.dedent(f"""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+            from stdcl import cli
+            for flags in (["--joints", "4000", "--frames", "4000", "--per-class", "100"], ["--joints", "3000000000"]):
+                print(cli.main(["gen-data", *flags, "-o", {str(output)!r}]))
+        """)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.split() == [str(cli.EXIT_USAGE)] * 2
+        assert out.stderr.splitlines() == [
+            f"error: the dataset's {1600 * 4000 * 4000 * 3} coordinates do not fit in memory",
+            "error: joints (3000000000), frames (24) and sequences (160) must each be below 2**31",
+        ]
+        assert not output.exists()
 
 
 class TestTrain:
@@ -235,9 +266,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("flags, named", [
         (("--joints", 5, "--spatial-motifs", 2, "--temporal-motifs", 2),
-         "eval dataset has 4 classes of 5 joints x 8 frames; the training set has 4 of 4 x 8"),
+         "eval dataset has 4 classes of 5 joints x 8 frames; the model takes at most 4 classes, of 4 x 8"),
         (("--joints", 4, "--spatial-motifs", 4, "--temporal-motifs", 4),
-         "eval dataset has 16 classes of 4 joints x 8 frames; the training set has 4 of 4 x 8"),
+         "eval dataset has 16 classes of 4 joints x 8 frames; the model takes at most 4 classes, of 4 x 8"),
     ], ids=["other-joints", "more-classes"])
     def test_eval_set_that_does_not_fit_the_model_is_data_error(
         self, workdir, config_path, capsys, monkeypatch, flags, named
@@ -263,6 +294,14 @@ class TestTrain:
                        "--set", "numeric.precision=float16")
         assert code == cli.EXIT_USAGE
         assert "numeric.precision" in capsys.readouterr().err
+
+    def test_config_and_manifest_together_is_usage_error(self, workdir, config_path, trained_run, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("train", "-c", config_path, "--from-manifest", trained_run / "model-manifest.json",
+                    "--out", workdir / "both")
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "not allowed with argument -c/--config" in capsys.readouterr().err
+        assert not (workdir / "both").exists()
 
     def test_requires_config_or_manifest(self, capsys):
         assert run_cli("train") == cli.EXIT_USAGE

@@ -461,9 +461,9 @@ def stale_training_state():
     model = build_model(encoder_cfg, ds.num_classes, cfg)
     banks = make_banks(len(ds), cfg.embed_dim, seed=0)
     rng = np.random.default_rng(0)
-    for seq in ds:
+    for row, label in enumerate(ds.targets):
         for bank in banks.values():
-            bank.update(seq.index, rng.standard_normal(cfg.embed_dim), seq.label)
+            bank.update(row, rng.standard_normal(cfg.embed_dim), label)
     optimizer = SGD(model.named_tensors(), cfg.momentum, cfg.weight_decay)
     return ds, model, banks, cfg, optimizer
 
@@ -472,8 +472,8 @@ class TestStep:
     def test_update_happens_after_sampling(self, monkeypatch):
         """A slot is mined at its step-start value and rewritten only after the optimizer step."""
         ds, model, banks, cfg, optimizer = stale_training_state()
-        batch = [ds[0], ds[1]]  # same label: each anchor's positives include the other's slot
-        assert batch[0].label == batch[1].label
+        rows = np.array([0, 1])  # same label: each anchor's positives include the other's slot
+        assert ds.targets[0] == ds.targets[1]
         stale = {name: bank.features.copy() for name, bank in banks.items()}
         scored, mined = [], []
         original_score, original_sample = contrast.score_heads, contrast.sample_batch
@@ -499,7 +499,7 @@ class TestStep:
         monkeypatch.setattr(contrast, "score_heads", spy_score)
         monkeypatch.setattr(contrast, "sample_batch", spy_sample)
         monkeypatch.setattr(optimizer, "step", spy_step)
-        record = train_step(batch, model, banks, cfg, optimizer, lr=cfg.learning_rate)
+        record = train_step(ds, rows, model, banks, cfg, optimizer, lr=cfg.learning_rate)
         assert record.skipped_positives == 0
         assert len(scored) == len(mined) == len(at_sgd) == 1
         (names, mined_features, all_scores, all_samples), = mined
@@ -864,11 +864,11 @@ def test_batch_equals_batches_of_one(seed, length, num_labels, duplicates, batch
 class TestInstrumentation:
     def test_read_write_counters(self):
         ds, model, banks, cfg, optimizer = stale_training_state()
-        batch = list(ds)[: cfg.batch_size]
+        rows = np.arange(cfg.batch_size)
         instrumentation.reset()
-        train_step(batch, model, banks, cfg, optimizer, lr=cfg.learning_rate)
-        assert instrumentation.count("bank_reads") == 2 * len(batch)
-        assert instrumentation.count("bank_writes") == 2 * len(batch)
+        train_step(ds, rows, model, banks, cfg, optimizer, lr=cfg.learning_rate)
+        assert instrumentation.count("bank_reads") == 2 * len(rows)
+        assert instrumentation.count("bank_writes") == 2 * len(rows)
 
 
 def two_head_banks(rng, length, fill, ties):
@@ -964,7 +964,7 @@ def test_the_heads_of_a_fit_share_one_slot_table():
 
 def test_a_step_normalizes_each_anchor_once(monkeypatch):
     ds, model, banks, cfg, optimizer = stale_training_state()
-    batch = list(ds)[: cfg.batch_size]
+    rows = np.arange(cfg.batch_size)
     normalized = []
     original = contrast._unit_rows
 
@@ -974,6 +974,6 @@ def test_a_step_normalizes_each_anchor_once(monkeypatch):
 
     monkeypatch.setattr(contrast, "_unit_rows", spy)
     instrumentation.reset()
-    train_step(batch, model, banks, cfg, optimizer, lr=cfg.learning_rate)
-    assert normalized == [(2 * len(batch), cfg.embed_dim)]
-    assert instrumentation.count("bank_reads") == 2 * len(batch)
+    train_step(ds, rows, model, banks, cfg, optimizer, lr=cfg.learning_rate)
+    assert normalized == [(2 * len(rows), cfg.embed_dim)]
+    assert instrumentation.count("bank_reads") == 2 * len(rows)

@@ -4,6 +4,7 @@ import builtins
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import textwrap
@@ -134,6 +135,20 @@ class TestSyntheticSpec:
             small_spec(frames=8, num_temporal=7)
         with pytest.raises(ConfigError):
             small_spec(noise_std=-0.1)
+
+    @pytest.mark.parametrize("changes, named", [
+        (dict(joints=2**31), f"joints ({2**31}), frames (16) and sequences (12) must each be below 2**31"),
+        (dict(frames=2**31), f"joints (6), frames ({2**31}) and sequences (12) must each be below 2**31"),
+        (dict(per_class=2**29), f"joints (6), frames (16) and sequences ({2**31}) must each be below 2**31"),
+        (dict(noise_std=float("nan")), "noise_std must be finite"),
+        (dict(noise_std=float("inf")), "noise_std must be finite"),
+        (dict(motif_scale=float("nan")), "motif_scale must be finite"),
+        (dict(motif_scale=float("inf")), "motif_scale must be finite"),
+    ])
+    def test_sizes_an_skl1_header_cannot_store_and_non_finite_scales_are_rejected(self, changes, named):
+        assert small_spec(per_class=2**29 - 1).length == 2**31 - 4  # a spec allocates nothing
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            small_spec(**changes)
 
     def test_determinism(self):
         a = generate_synthetic(small_spec(), seed=9)
@@ -321,6 +336,33 @@ class TestFileFormats:
         want = load_dataset(str(tmp_path / f"ordered-{name}"))
         assert back.coords.tobytes() == want.coords.tobytes()
         assert back.targets.tobytes() == want.targets.tobytes()
+
+    @pytest.mark.parametrize("name, damage, named", [
+        ("d.skl", "label", "sequence 2: label 9 outside [0, 4)"),
+        ("d.skl", "coordinate", "sequence 1: non-finite coordinates"),
+        ("d.skl", "class count", "dataset needs at least 2 classes, got 1"),
+        ("d.jsonl", "coordinate", "sequence 1: non-finite coordinates"),
+    ])
+    def test_a_dataset_that_fails_the_container_checks_is_named_by_its_file(self, tmp_path, name, damage, named):
+        ds = generate_synthetic(small_spec(), seed=2)
+        path = tmp_path / name
+        save_dataset(ds, str(path))
+        if name.endswith(".jsonl"):  # json.loads reads NaN
+            lines = path.read_text().splitlines(keepends=True)
+            lines[1] = json.dumps({**json.loads(lines[1]), "coords": [float("nan")] * ds.coords[1].size}) + "\n"
+            path.write_text("".join(lines))
+        else:
+            blob = bytearray(path.read_bytes())
+            offset, fmt, value = {
+                "label": (20 + ds.coords.size * 4 + 2 * 4, "<i", 9),
+                "coordinate": (20 + ds.coords[0].size * 4 + 5 * 4, "<f", float("nan")),
+                "class count": (12, "<i", 1),
+            }[damage]
+            struct.pack_into(fmt, blob, offset, value)
+            path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError) as exc:
+            load_dataset(str(path))
+        assert str(exc.value) == f"{path}: {named}"
 
     def test_format_sniffing(self, tmp_path):
         ds = generate_synthetic(small_spec(), seed=2)

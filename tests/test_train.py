@@ -12,8 +12,9 @@ import pytest
 
 from stdcl import instrumentation, train
 from stdcl import tensor as tz
+from stdcl.checkpoint import save_checkpoint
 from stdcl.contrast import make_banks
-from stdcl.data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
+from stdcl.data import SkeletonDataset, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from stdcl.decoupling import decouple
 from stdcl.encoder import EncoderConfig, classify, encode
 from stdcl.errors import ConfigError, DataFormatError
@@ -30,8 +31,8 @@ from stdcl.train import (
     fit,
     load_model,
     model_meta,
+    model_shapes,
     predict_logits,
-    save_model,
     train_step,
 )
 
@@ -181,6 +182,17 @@ class TestBuildModel:
         assert "head.w" in names
         assert "decouple.spatial_embed" in names
 
+    @pytest.mark.parametrize("framework_enabled", [True, False])
+    def test_model_shapes_are_the_tensors_built_and_loaded(self, tmp_path, framework_enabled):
+        cfg = tiny_train(framework_enabled=framework_enabled, embed_dim=5, reduction=4)
+        model = build_model(tiny_encoder(), 3, cfg)
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, model.params, model_meta(model, cfg))
+        shapes = model_shapes(tiny_encoder(), 3, *((5, 4) if framework_enabled else ()))
+        assert any(name.startswith("decouple.") for name in shapes) == framework_enabled
+        for built in (model, load_model(path)[0]):
+            assert [(name, t.shape) for name, t in built.params.items()] == list(shapes.items())
+
     @pytest.mark.parametrize("reduction", [1, 2, 4, 8])
     def test_meta_reads_embed_dim_and_reduction_off_the_shapes(self, reduction):
         cfg = tiny_train(reduction=reduction, embed_dim=5)
@@ -197,14 +209,16 @@ class TestTrainStep:
         model = build_model(tiny_encoder(), ds.num_classes, cfg)
         banks = make_banks(len(ds), cfg.embed_dim, seed=cfg.seed)
         opt = SGD(model.named_tensors(), cfg.momentum, cfg.weight_decay)
-        batch = list(ds)[:4]
-        record = train_step(batch, model, banks, cfg, opt, lr=cfg.learning_rate)
+        rows = np.array([5, 0, 9, 2])
+        record = train_step(ds, rows, model, banks, cfg, opt, lr=cfg.learning_rate)
         assert record.loss_spatial == 0.0 and record.loss_temporal == 0.0
         assert record.total == record.loss_ce
         # every sequence skipped both banks
-        assert record.skipped_positives == 2 * len(batch)
-        # embeddings were still deposited for the next step
-        assert all(banks[name].valid[seq.index] for name in banks for seq in batch)
+        assert record.skipped_positives == 2 * len(rows)
+        # embeddings were still deposited for the next step, each in its row's slot with its row's label
+        for bank in banks.values():
+            assert np.flatnonzero(bank.valid).tolist() == sorted(rows)
+            np.testing.assert_array_equal(bank.labels[rows], ds.targets[rows])
 
     def test_additive_composition(self):
         _, ds = tiny_dataset()
@@ -213,7 +227,7 @@ class TestTrainStep:
         banks = make_banks(len(ds), cfg.embed_dim, seed=cfg.seed)
         opt = SGD(model.named_tensors(), cfg.momentum, cfg.weight_decay)
         for step in range(3):  # warm the banks so contrast terms are live
-            record = train_step(list(ds)[:8], model, banks, cfg, opt,
+            record = train_step(ds, np.arange(8), model, banks, cfg, opt,
                                 lr=cfg.learning_rate, step=step)
         assert record.loss_spatial > 0.0 and record.loss_temporal > 0.0
         want = record.loss_ce + record.loss_spatial + record.loss_temporal
@@ -226,7 +240,7 @@ class TestTrainStep:
         banks = make_banks(len(ds), cfg.embed_dim, seed=cfg.seed)
         opt = SGD(model.named_tensors(), cfg.momentum, cfg.weight_decay)
         instrumentation.reset()
-        record = train_step(list(ds)[:8], model, banks, cfg, opt, lr=0.01)
+        record = train_step(ds, np.arange(8), model, banks, cfg, opt, lr=0.01)
         assert record.loss_spatial == 0.0 and record.loss_temporal == 0.0
         assert record.total == record.loss_ce
         assert instrumentation.count("decouple_calls") == 0
@@ -240,9 +254,9 @@ def warm_state(cfg, ds):
     model = build_model(tiny_encoder(), ds.num_classes, cfg)
     banks = make_banks(len(ds), cfg.embed_dim, seed=cfg.seed)
     rng = np.random.default_rng(1)
-    for seq in ds:
+    for row, label in enumerate(ds.targets):
         for bank in banks.values():
-            bank.update(seq.index, rng.standard_normal(cfg.embed_dim), seq.label)
+            bank.update(row, rng.standard_normal(cfg.embed_dim), label)
     return model, banks, SGD(model.named_tensors(), cfg.momentum, cfg.weight_decay)
 
 
@@ -264,7 +278,7 @@ class TestOneTapePerStep:
         monkeypatch.setattr(train, "encode", counted("encode", train.encode))
         monkeypatch.setattr(train, "decouple", counted("decouple", train.decouple))
         monkeypatch.setattr(Tensor, "backward", counted("backward", Tensor.backward))
-        train_step(list(ds)[:8], model, banks, cfg, opt, lr=cfg.learning_rate)
+        train_step(ds, np.arange(8), model, banks, cfg, opt, lr=cfg.learning_rate)
         assert calls == {"encode": 1, "decouple": 1, "backward": 1}
 
     def test_tape_size_does_not_grow_with_the_batch(self, monkeypatch):
@@ -280,29 +294,29 @@ class TestOneTapePerStep:
         monkeypatch.setattr(Tensor, "backward", sized)
         for batch_size in (2, 8):
             model, banks, opt = warm_state(cfg, ds)
-            record = train_step(list(ds)[:batch_size], model, banks, cfg, opt, lr=cfg.learning_rate)
+            record = train_step(ds, np.arange(batch_size), model, banks, cfg, opt, lr=cfg.learning_rate)
             assert record.loss_spatial > 0.0 and record.loss_temporal > 0.0
         assert len(sizes) == 2 and sizes[0] == sizes[1]
 
     def test_gradients_are_the_mean_of_per_sequence_ce_gradients(self):
         _, ds = tiny_dataset()
         cfg = tiny_train(framework_enabled=False)
-        batch = list(ds)[:6]
+        rows = np.arange(6)
         model = build_model(tiny_encoder(), ds.num_classes, cfg)
         opt = SGD(model.named_tensors(), cfg.momentum, cfg.weight_decay)
-        train_step(batch, model, {}, cfg, opt, lr=cfg.learning_rate)
+        train_step(ds, rows, model, {}, cfg, opt, lr=cfg.learning_rate)
 
         reference = build_model(tiny_encoder(), ds.num_classes, cfg)
         summed = {name: np.zeros_like(t.data) for name, t in reference.params.items()}
-        for seq in batch:
+        for row in rows:
             for t in reference.params.values():
                 t.zero_grad()
-            logits = classify(reference.params, encode(reference.params, reference.encoder_cfg, seq.coords[None]))
-            tz.softmax_cross_entropy(logits, [seq.label]).backward()
+            logits = classify(reference.params, encode(reference.params, reference.encoder_cfg, ds.coords[row][None]))
+            tz.softmax_cross_entropy(logits, ds.targets[row : row + 1]).backward()
             for name, t in reference.params.items():
                 summed[name] += t.grad
         for name, t in model.params.items():
-            np.testing.assert_allclose(t.grad, summed[name] / len(batch), rtol=1e-10, atol=1e-14, err_msg=name)
+            np.testing.assert_allclose(t.grad, summed[name] / len(rows), rtol=1e-10, atol=1e-14, err_msg=name)
 
     def test_float32_steps_stay_float32(self):
         _, ds = tiny_dataset()
@@ -312,7 +326,7 @@ class TestOneTapePerStep:
             banks = make_banks(len(ds), cfg.embed_dim, seed=cfg.seed)
             opt = SGD(model.named_tensors(), cfg.momentum, cfg.weight_decay)
             for step in range(3):  # the first step fills the banks the next two mine
-                record = train_step(list(ds)[:4], model, banks, cfg, opt, lr=cfg.learning_rate, step=step)
+                record = train_step(ds, np.arange(4), model, banks, cfg, opt, lr=cfg.learning_rate, step=step)
         assert record.loss_spatial > 0.0 and record.loss_temporal > 0.0
         for name, t in model.named_tensors().items():
             assert t.data.dtype == np.float32, name
@@ -332,6 +346,19 @@ class TestFit:
         assert os.path.exists(result.checkpoint_path)
         with open(result.metrics_path) as f:
             assert f.read().strip() == ",".join(METRICS_HEADER)
+
+    def test_trains_on_rows_without_building_a_sequence_record(self, tmp_path, monkeypatch):
+        _, ds = tiny_dataset()
+        cfg = tiny_train(checkpoint_every=1)
+        want = fit(ds, tiny_encoder(), cfg)
+
+        def fail(*args):
+            raise AssertionError("built a SkeletonSequence")
+
+        monkeypatch.setattr(SkeletonDataset, "__getitem__", fail)
+        monkeypatch.setattr(SkeletonDataset, "__iter__", fail)
+        got = fit(ds, tiny_encoder(), cfg, out_dir=str(tmp_path), eval_dataset=ds)
+        assert got.history == want.history and len(got.eval_history) == cfg.epochs
 
     def test_shuffled_jsonl_trains_to_the_same_checkpoint_bytes(self, tmp_path):
         """Each record's index names its bank slot and its row, whatever the line order of the file."""
@@ -531,7 +558,7 @@ class TestEmbeddingsAndCheckpoint:
         cfg = tiny_train()
         model = build_model(tiny_encoder(), ds.num_classes, cfg)
         path = str(tmp_path / "m.ckpt")
-        save_model(path, model, model_meta(model, cfg))
+        save_checkpoint(path, model.params, model_meta(model, cfg))
         back, meta = load_model(path)
         assert back.encoder_cfg == model.encoder_cfg
         assert back.num_classes == model.num_classes
@@ -548,7 +575,7 @@ class TestEmbeddingsAndCheckpoint:
         cfg = tiny_train(framework_enabled=False)
         model = build_model(tiny_encoder(), ds.num_classes, cfg)
         path = str(tmp_path / "m.ckpt")
-        save_model(path, model, model_meta(model, cfg))
+        save_checkpoint(path, model.params, model_meta(model, cfg))
         back, _ = load_model(path)
         assert sorted(back.params) == sorted(model.params)
         assert not any(name.startswith("decouple.") for name in back.params)
