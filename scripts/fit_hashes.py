@@ -60,7 +60,7 @@ def fit_digests(workload, train_ds, eval_ds, framework: bool, epochs: int, workd
         digests[f"{name}.valid"] = sha256(bank.valid.tobytes())
         digests[f"{name}.rng_state"] = sha256(json.dumps(bank.rng.bit_generator.state, sort_keys=True).encode())
     if framework:
-        logits = [train.predict_logits(result.model, seq.coords) for seq in eval_ds]
+        logits = [train.predict_logits(result.model, coords) for coords in eval_ds.coords]
         digests["eval.logits"] = sha256(np.stack(logits).tobytes())
         evaluated = train.evaluate(result.model, eval_ds)
         digests["eval.accuracy"] = sha256(float(evaluated.accuracy).hex().encode())

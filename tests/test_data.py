@@ -634,13 +634,13 @@ def dataset_files(tmp_path_factory):
 
 
 def load_or_data_error(tmp_path_factory, blob: bytes) -> None:
-    """Loading `blob` returns a dataset or raises DataFormatError, nothing else."""
+    """Loading `blob` returns a dataset or raises a DataFormatError that names the file, nothing else."""
     path = tmp_path_factory.mktemp("damaged") / "d.dat"
     path.write_bytes(blob)
     try:
         load_dataset(str(path))
-    except DataFormatError:
-        pass
+    except DataFormatError as exc:
+        assert str(exc).startswith(f"{path}:"), exc
 
 
 FORMATS = st.sampled_from(["jsonl", "binary"])
