@@ -8,7 +8,6 @@ re-running from the manifest reproduces the outputs bit-identically.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 
@@ -32,7 +31,7 @@ from .errors import (
     NumericError,
     StdclError,
 )
-from .gradcheck import registered_ops, run_op_checks, run_pipeline_check
+from .gradcheck import run_checks
 from .train import (
     TrainConfig,
     check_fits,
@@ -64,14 +63,6 @@ def _from_sections(cls, cfg: dict, sections: tuple, **extra):
     """Build dataclass `cls` from the CONFIG_SCHEMA keys of `sections`; key suffixes are its fields."""
     fields = {key.partition(".")[2]: cfg[key] for key in CONFIG_SCHEMA if key.partition(".")[0] in sections}
     return cls(**fields, **extra)
-
-
-def _apply_numeric(cfg: dict) -> None:
-    try:
-        tz.set_precision(cfg["numeric.precision"])
-    except ValueError as exc:
-        raise ConfigError(f"numeric.precision: {exc}") from None
-    tz.set_checked(cfg["numeric.checked"])
 
 
 def _ensure_parent(path: str) -> None:
@@ -143,7 +134,8 @@ def cmd_train(args) -> int:
         raise ConfigError("out.dir must name a directory, got ''")
     if not stem or any(c and c in stem for c in (os.sep, os.altsep, "\0")):
         raise ConfigError(f"out.stem must be a file name, got {stem!r}")
-    _apply_numeric(cfg)
+    tz.set_precision(cfg["numeric.precision"])
+    tz.set_checked(cfg["numeric.checked"])
     dataset = _load_dataset_checked(cfg["data.path"], cfg["data.frames"])
     eval_dataset = None
     if cfg["data.eval_path"]:
@@ -201,28 +193,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    ops = args.op or None
-    named = (ops or []) + ([args.inject_fault] if args.inject_fault else [])
-    unknown = [name for name in named if name not in registered_ops()]
-    if unknown:
-        raise ConfigError(f"unknown op(s) for gradient check: {unknown}; known: {registered_ops()}")
-    fault = (
-        tz.inject_backward_fault(args.inject_fault)
-        if args.inject_fault
-        else contextlib.nullcontext()
-    )
     failures = []
-    with fault:
-        results = run_op_checks(ops=ops, trials=args.trials, seed=args.seed)
-        for result in results:
-            print(result.summary())
-            if not result.passed:
-                failures.append(result.name)
-        if ops is None:
-            pipeline = run_pipeline_check(trials=args.pipeline_trials, seed=args.seed)
-            print(pipeline.summary())
-            if not pipeline.passed:
-                failures.append(pipeline.name)
+    for result in run_checks(args.op, args.trials, args.pipeline_trials, args.seed, args.inject_fault):
+        print(result.summary())
+        if not result.passed:
+            failures.append(result.name)
     if failures:
         print(f"FAILED: {', '.join(failures)}")
         return EXIT_NUMERIC

@@ -14,7 +14,7 @@ bit-identically from the manifest alone.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .atomic import atomic_path
 from .encoder import EncoderConfig
@@ -126,6 +126,8 @@ def load_config(path: str) -> dict:
             text = f.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     return parse_config_text(text, source=path)
 
 
@@ -158,20 +160,10 @@ class RunManifest:
     artifacts: dict = field(default_factory=dict)
     format_version: int = MANIFEST_VERSION
 
-    def to_json(self) -> str:
-        payload = {
-            "format_version": self.format_version,
-            "command": self.command,
-            "seed": self.seed,
-            "config": self.config,
-            "artifacts": self.artifacts,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
 
 def write_manifest(path: str, manifest: RunManifest) -> None:
     with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
-        f.write(manifest.to_json())
+        f.write(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
 
 
 def read_manifest(path: str) -> RunManifest:

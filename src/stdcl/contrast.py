@@ -66,6 +66,8 @@ class ContrastConfig:
     def __post_init__(self):
         if not self.tau > 0:
             raise ConfigError(f"temperature must be positive, got {self.tau}")
+        if not np.isfinite(self.tau):
+            raise ConfigError(f"temperature must be finite, got {self.tau}")
         if self.n_pos_hard < 1:
             raise ConfigError(f"need at least one hard positive, got {self.n_pos_hard}")
         if self.n_neg_hard < 0 or self.n_neg_rand < 0:

@@ -145,10 +145,10 @@ class SyntheticSpec:
     def length(self) -> int:
         return self.num_classes * self.per_class
 
-    def spatial_factor(self, label: int) -> int:
+    def spatial_factor(self, label: int | np.ndarray) -> int | np.ndarray:
         return label // self.num_temporal
 
-    def temporal_factor(self, label: int) -> int:
+    def temporal_factor(self, label: int | np.ndarray) -> int | np.ndarray:
         return label % self.num_temporal
 
 

@@ -213,9 +213,8 @@ def run_decoupling_seed(cfg: DecouplingStudyConfig, seed: int) -> DecouplingSeed
     spec = cfg.synthetic_spec()
     dataset = generate_synthetic(spec, seed=seed, name=f"decoupling-{seed}")
     result = fit(dataset, cfg.encoder_config(), cfg.train_config(seed))
-    labels = dataset.labels()
-    spatial_factor = np.array([spec.spatial_factor(int(y)) for y in labels])
-    temporal_factor = np.array([spec.temporal_factor(int(y)) for y in labels])
+    spatial_factor = spec.spatial_factor(dataset.targets)
+    temporal_factor = spec.temporal_factor(dataset.targets)
     report = embedding_report(result.model, dataset)
     return DecouplingSeedResult(
         seed=seed,

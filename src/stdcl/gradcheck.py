@@ -8,12 +8,13 @@ process-wide setting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tz
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .rng import seeded_rng
 from .tensor import Tensor
 
@@ -29,7 +30,6 @@ class GradCheckResult:
     max_rel_err: float
     tolerance: float
     worst_param: str = ""
-    failures: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -289,6 +289,37 @@ def registered_ops() -> list[str]:
     return sorted(OP_CASES)
 
 
+def _op_names(ops) -> list[str]:
+    """The ops to check, every registered one for None; ConfigError names any unknown one."""
+    names = registered_ops() if ops is None else list(ops)
+    unknown = [n for n in names if n not in OP_CASES]
+    if unknown:
+        raise ConfigError(f"unknown op(s) for gradient check: {unknown}; known: {registered_ops()}")
+    return names
+
+
+def _require_trials(*counts: int) -> None:
+    for trials in counts:
+        if trials < 1:
+            raise ConfigError(f"a gradient check needs at least 1 trial, got {trials}")
+
+
+def _run_trials(name: str, cases, trials: int, h: float, tol: float) -> GradCheckResult:
+    """The one trial loop: the worst relative error over the first `trials` (params, fn) cases, and its parameter."""
+    worst, worst_param = 0.0, ""
+    for params, fn in itertools.islice(cases, trials):
+        for pname, err in compare_gradients(fn, params, h=h).items():
+            if err > worst:
+                worst, worst_param = err, pname
+    return GradCheckResult(name, trials, worst, tol, worst_param)
+
+
+def _op_cases(name: str, seed: int):
+    """Trial t of op `name` draws its case from its own stream, gradcheck/{name}/{t}."""
+    for trial in itertools.count():
+        yield OP_CASES[name](seeded_rng(seed, f"gradcheck/{name}/{trial}"))
+
+
 def run_op_checks(
     ops=None,
     trials: int = 20,
@@ -296,26 +327,9 @@ def run_op_checks(
     h: float = DEFAULT_STEP,
     tol: float = OP_TOLERANCE,
 ) -> list[GradCheckResult]:
-    names = registered_ops() if ops is None else list(ops)
-    unknown = [n for n in names if n not in OP_CASES]
-    if unknown:
-        raise ValueError(f"unknown op(s) for gradient check: {unknown}; known: {registered_ops()}")
-    results = []
-    for name in names:
-        worst = 0.0
-        worst_param = ""
-        failures = []
-        for trial in range(trials):
-            rng = seeded_rng(seed, f"gradcheck/{name}/{trial}")
-            params, fn = OP_CASES[name](rng)
-            errs = compare_gradients(fn, params, h=h)
-            for pname, err in errs.items():
-                if err > worst:
-                    worst, worst_param = err, pname
-                if err >= tol:
-                    failures.append((trial, pname, err))
-        results.append(GradCheckResult(name, trials, worst, tol, worst_param, failures))
-    return results
+    names = _op_names(ops)
+    _require_trials(trials)
+    return [_run_trials(name, _op_cases(name, seed), trials, h, tol) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -384,26 +398,35 @@ def _build_pipeline_case(seed: int):
     return arrays, fn, usable
 
 
+def _pipeline_cases(trials: int, seed: int):
+    """Well-conditioned pipeline instances from at most trials * 20 + 1 attempts; NumericError past that."""
+    for attempt in range(trials * 20 + 1):
+        arrays, fn, usable = _build_pipeline_case(seed * 1000 + attempt)
+        if usable:
+            yield arrays, fn
+    raise NumericError("pipeline gradcheck: could not find enough well-conditioned instances")
+
+
 def run_pipeline_check(
     trials: int = 20, seed: int = 0, h: float = DEFAULT_STEP, tol: float = PIPELINE_TOLERANCE
 ) -> GradCheckResult:
-    worst = 0.0
-    worst_param = ""
-    failures = []
-    done = 0
-    attempt = 0
-    while done < trials:
-        if attempt > trials * 20:
-            raise NumericError("pipeline gradcheck: could not find enough well-conditioned instances")
-        arrays, fn, usable = _build_pipeline_case(seed * 1000 + attempt)
-        attempt += 1
-        if not usable:
-            continue
-        errs = compare_gradients(fn, arrays, h=h)
-        for pname, err in errs.items():
-            if err > worst:
-                worst, worst_param = err, pname
-            if err >= tol:
-                failures.append((done, pname, err))
-        done += 1
-    return GradCheckResult("full_pipeline", trials, worst, tol, worst_param, failures)
+    _require_trials(trials)
+    return _run_trials("full_pipeline", _pipeline_cases(trials, seed), trials, h, tol)
+
+
+def run_checks(
+    ops=None, trials: int = 20, pipeline_trials: int = 20, seed: int = 0, fault: str | None = None
+) -> list[GradCheckResult]:
+    """The checks `stdcl gradcheck` runs: the named ops, or every op and then the full pipeline.
+
+    `fault` names an op whose backward rule is flipped throughout.  Every op
+    name and trial count is checked before the first check runs.
+    """
+    names = _op_names(ops)
+    _op_names([fault] if fault else [])
+    _require_trials(trials, pipeline_trials if ops is None else 1)
+    with tz.inject_backward_fault(fault):
+        results = run_op_checks(names, trials, seed)
+        if ops is None:
+            results.append(run_pipeline_check(pipeline_trials, seed))
+    return results

@@ -13,9 +13,9 @@ rule that computed its gradient itself hands it over without a copy
 and the contrast heads); a rule whose gradient is shared, a view or a
 broadcast (`add`, `reshape`, the reductions, `gather1d`) has it copied.
 
-Precision (float64 for gradient-check builds, float32 for training runs)
-and checked mode are process-wide switches, not per-tensor properties.
-The module imports in float64 checked mode.
+Precision (float64 by default, for training and gradient checks alike;
+float32 on request) and checked mode are process-wide switches, not
+per-tensor properties.  The module imports in float64 checked mode.
 
 Checked mode rejects any non-finite value, and it checks each value once,
 where it is computed: the constructor scans its input, and every op scans
@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateVectorError, DimensionError, DomainError, NumericError
+from .errors import ConfigError, DegenerateVectorError, DimensionError, DomainError, NumericError
 
 _DTYPES = {"float64": np.float64, "float32": np.float32}
 
@@ -77,7 +77,7 @@ _fix_malloc_thresholds()
 def set_precision(name: str) -> None:
     global _precision
     if name not in _DTYPES:
-        raise ValueError(f"unknown precision {name!r}; expected one of {sorted(_DTYPES)}")
+        raise ConfigError(f"numeric.precision: unknown precision {name!r}; expected one of {sorted(_DTYPES)}")
     _precision = name
 
 
@@ -117,8 +117,8 @@ def no_grad():
 
 
 @contextmanager
-def inject_backward_fault(op: str):
-    """Flip the sign of `op`'s backward rule inside the block (test hook)."""
+def inject_backward_fault(op: str | None):
+    """Flip the sign of `op`'s backward rule inside the block (test hook); None flips nothing."""
     global _fault_op
     previous = _fault_op
     _fault_op = op

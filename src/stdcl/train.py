@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -104,6 +104,9 @@ class TrainConfig:
             raise ConfigError("checkpoint_every and eval_every must be non-negative")
         # temperature/count/form validation lives in ContrastConfig
         self.contrast_config()
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
 
     def contrast_config(self) -> ContrastConfig:
         return ContrastConfig(
@@ -308,10 +311,9 @@ def evaluate(model: Model, dataset: SkeletonDataset) -> EvalReport:
         np.argmax(_tape_free(model, dataset.coords[start : start + TEST_CHUNK]), axis=1)
         for start in range(0, len(dataset), TEST_CHUNK)
     ])
-    labels = dataset.labels()
     return EvalReport(
-        accuracy=top1_accuracy(predictions, labels),
-        per_class=per_class_accuracy(predictions, labels, model.num_classes),
+        accuracy=top1_accuracy(predictions, dataset.targets),
+        per_class=per_class_accuracy(predictions, dataset.targets, model.num_classes),
         count=len(dataset),
     )
 

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stdcl import cli, train
+from stdcl import cli, gradcheck, train
 from stdcl.checkpoint import load_checkpoint, save_checkpoint
-from stdcl.config import CONFIG_SCHEMA, read_manifest
+from stdcl.config import CONFIG_SCHEMA, RunManifest, read_manifest, write_manifest
 from stdcl.encoder import EncoderConfig
 from stdcl.errors import ConfigError
 from stdcl.train import TrainConfig
@@ -196,6 +196,34 @@ class TestTrain:
         cfg.write_text("train.epochs = 1\ntrain.batch_size 4\n")
         assert run_cli("train", "-c", cfg) == cli.EXIT_USAGE
         assert f"{cfg}:2:" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_is_usage_error(self, workdir, capsys):
+        cfg = workdir / "not-utf8.txt"
+        cfg.write_bytes(b"train.epochs = 1\n# \xff\xfe\n")
+        assert run_cli("train", "-c", cfg) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: not UTF-8 text")
+
+    @pytest.mark.parametrize("setting", [
+        "train.learning_rate=inf", "train.weight_decay=nan", "train.lambda_ce=nan",
+        "train.lambda_spatial=inf", "train.lr_decay_gamma=inf", "contrast.tau=inf",
+    ])
+    def test_non_finite_setting_is_usage_error(self, workdir, config_path, capsys, monkeypatch, setting):
+        monkeypatch.setattr(train, "train_step", lambda *args, **kwargs: pytest.fail("trained"))
+        code = run_cli("train", "-c", config_path, "--out", workdir / "non-finite", "--set", setting)
+        assert code == cli.EXIT_USAGE
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_non_finite_manifest_value_is_usage_error(self, workdir, trained_run, capsys, monkeypatch):
+        """JSON reads 1e999 as inf."""
+        text = (trained_run / "model-manifest.json").read_text()
+        edited, count = re.subn(r'"train\.learning_rate": [^,\n]+', '"train.learning_rate": 1e999', text)
+        assert count == 1
+        path = workdir / "inf-manifest.json"
+        path.write_text(edited)
+        monkeypatch.setattr(train, "train_step", lambda *args, **kwargs: pytest.fail("trained"))
+        code = run_cli("train", "--from-manifest", path, "--out", workdir / "inf-manifest")
+        assert code == cli.EXIT_USAGE
+        assert "learning_rate must be finite, got inf" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, workdir, capsys):
         cfg = workdir / "unknown.txt"
@@ -549,6 +577,30 @@ def test_damaged_manifest_is_read_or_rejected_and_never_crashes_train(workdir, m
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERIC)
 
 
+def test_write_manifest_bytes(tmp_path):
+    path = tmp_path / "manifest.json"
+    manifest = RunManifest(command="train", config={"train.tau": 0.5, "encoder.hidden": (4, 2)}, seed=3,
+                           artifacts={"checkpoint": "run/model.ckpt"})
+    write_manifest(str(path), manifest)
+    assert path.read_text(encoding="utf-8") == textwrap.dedent("""\
+        {
+          "artifacts": {
+            "checkpoint": "run/model.ckpt"
+          },
+          "command": "train",
+          "config": {
+            "encoder.hidden": [
+              4,
+              2
+            ],
+            "train.tau": 0.5
+          },
+          "format_version": 1,
+          "seed": 3
+        }
+        """)
+
+
 class TestConfigMapping:
     """`stdcl train` builds its configs from the schema keys whose suffixes are field names."""
 
@@ -594,6 +646,15 @@ class TestGradcheck:
     def test_unknown_op_rejected(self, capsys):
         assert run_cli("gradcheck", "--op", "warp") == cli.EXIT_USAGE
         assert "unknown op" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--trials", "--pipeline-trials"])
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_fewer_than_one_trial_is_usage_error_before_any_check(self, capsys, monkeypatch, flag, count):
+        monkeypatch.setattr(gradcheck, "compare_gradients", lambda *args, **kwargs: pytest.fail("checked"))
+        assert run_cli("gradcheck", flag, count) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"at least 1 trial, got {count}" in captured.err
 
     def test_unknown_fault_op_rejected(self, capsys):
         code = run_cli("gradcheck", "--op", "matmul", "--trials", 1, "--inject-fault", "nosuchop")

@@ -16,7 +16,7 @@ import stdcl.tensor as tz
 from stdcl.contrast import make_banks
 from stdcl.data import SyntheticSpec, generate_synthetic
 from stdcl.encoder import EncoderConfig
-from stdcl.errors import DimensionError, DomainError, NumericError
+from stdcl.errors import ConfigError, DimensionError, DomainError, NumericError
 from stdcl.tensor import Tensor
 from stdcl.train import SGD, TrainConfig, build_model, train_step
 
@@ -482,6 +482,11 @@ class TestCheckedMode:
         with tz.using_precision("float32"):
             assert Tensor(1.0).data.dtype == np.float32
         assert Tensor(1.0).data.dtype == np.float64
+
+    def test_unknown_precision_is_config_error(self):
+        with pytest.raises(ConfigError, match="unknown precision 'float16'"):
+            tz.set_precision("float16")
+        assert tz.active_dtype() == np.float64
 
 
 @pytest.fixture
