@@ -17,11 +17,16 @@ Precision (float64 by default, for training and gradient checks alike;
 float32 on request) and checked mode are process-wide switches, not
 per-tensor properties.  The module imports in float64 checked mode.
 
-Checked mode rejects any non-finite value, and it checks each value once,
-where it is computed: the constructor scans its input, and every op scans
-its result and raises NumericError naming itself.  The ops in
-`UNSCANNED_OPS` only move or mask values of an input that was scanned when
-it was made, so their results are not scanned again.
+Checked mode rejects any non-finite value.  Called directly, the
+constructor scans its input, and every op scans its result and raises
+NumericError naming itself; the ops in `UNSCANNED_OPS` only move or mask
+values of an input that was scanned when it was made, so their results are
+not scanned again.  A training step and a test-time chunk run through
+`checked_at_boundaries` instead: their ops run with these per-op scans off,
+and only the values the caller names as boundaries are scanned.  A
+non-finite value or a NumericError there replays the run once with per-op
+scans on, so the op that made the value raises, as it would called
+directly.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import ctypes
 import math
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -37,8 +42,11 @@ from .errors import ConfigError, DegenerateVectorError, DimensionError, DomainEr
 
 _DTYPES = {"float64": np.float64, "float32": np.float32}
 
+T = TypeVar("T")
+
 _precision = "float64"
 _checked = True
+_op_scans = True  # off inside checked_at_boundaries's first run
 _grad_enabled = True
 
 # Test hook: name of an op whose backward rule gets its sign flipped, used to
@@ -135,7 +143,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=active_dtype())
-        if _checked:
+        if _checked and _op_scans:
             _scan(arr, "tensor", "constructor input")
         self.data = arr
         self.requires_grad = requires_grad
@@ -225,8 +233,45 @@ def _scan(data: np.ndarray, op: str, what: str) -> None:
         raise NumericError(f"{op}: non-finite value in {what}")
 
 
+def checked_at_boundaries(run: Callable[[], T], boundaries: Callable[[T], Iterable[tuple[str, str, np.ndarray]]],
+                          rewind: Callable[[], None] | None = None) -> T:
+    """`run()`, checked at its boundaries: the values `boundaries(result)` names as (op, what, value).
+
+    Outside checked mode this is `run()`.  In it, `run()` goes with per-op
+    scans off (the constructor's too), and then each boundary value is
+    scanned once.  If one is not finite, or the run raises NumericError,
+    `rewind()` undoes what the run changed (random draws, say) and `run()`
+    goes once more with per-op scans on: the op that made the non-finite
+    value raises its NumericError, as it would called directly, and a
+    boundary value that is still not finite raises NumericError naming it.
+    So `run` may change nothing that `rewind` does not undo; the caller
+    writes what outlives it (an optimizer step, a bank write) afterwards.
+    """
+    global _op_scans
+    if not _checked:
+        return run()
+    previous, _op_scans = _op_scans, False
+    try:
+        # ops fed a non-finite value, which a per-op scan would have stopped, may warn; the replay warns as they do
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            result = run()
+            for op, what, value in boundaries(result):
+                _scan(value, op, what)
+        return result
+    except NumericError:
+        pass
+    finally:
+        _op_scans = previous
+    if rewind is not None:
+        rewind()
+    result = run()
+    for op, what, value in boundaries(result):
+        _scan(value, op, what)
+    return result
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> Tensor:
-    if _checked and op not in UNSCANNED_OPS:
+    if _checked and _op_scans and op not in UNSCANNED_OPS:
         _scan(data, op, "result")
     out = Tensor.__new__(Tensor)
     out.data = data

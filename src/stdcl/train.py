@@ -250,36 +250,66 @@ def train_step(
     epoch: int = 0,
     step: int = 0,
 ) -> StepRecord:
-    """One optimizer step on the sequences at `rows` of `dataset`; a row is also its sequence's bank slot."""
+    """One optimizer step on the sequences at `rows` of `dataset`; a row is also its sequence's bank slot.
+
+    In checked mode the forward and backward are checked at their boundaries
+    (`tz.checked_at_boundaries`): the logits, the loss, the anchors (which
+    contrast scoring rejects if degenerate) and every parameter gradient,
+    all before the optimizer step and the bank writes.  A replay restores
+    the bank RNG states first, so it mines the same rows.
+    """
     labels = dataset.targets[rows]
-    feature_map = encode(model.params, model.encoder_cfg, dataset.coords[rows])
-    logits = classify(model.params, feature_map)
-    # batch-mean loss terms in graph order; a head whose anchors have no live term stays out
-    means = {"ce": tz.mean_over_axes(tz.softmax_cross_entropy(logits, labels), (0,))}
-    embeddings = {}
-    skipped = 0
-    if cfg.framework_enabled:
-        embeddings = decouple(feature_map, model.params)
-        losses, skipped = contrast_losses(banks, embeddings, labels, rows, cfg.contrast_config())
-        means.update((name, tz.mean_over_axes(head, (0,))) for name, head in losses.items())
-
     weights = {"ce": cfg.lambda_ce, "spatial": cfg.lambda_spatial, "temporal": cfg.lambda_temporal}
-    values = {name: means[name].item() if name in means else 0.0 for name in weights}
-    total = sum(weights[name] * values[name] for name in weights)
-    if tz.is_checked():
-        for name, value in (*values.items(), ("total", total)):
-            if not math.isfinite(value):
-                raise NumericError(f"non-finite {name} loss at epoch {epoch} step {step}")
+    head_banks = list(banks.values()) if cfg.framework_enabled else []
+    rng_states = [bank.rng.bit_generator.state for bank in head_banks]
 
-    # zero-weighted terms stay out of the graph entirely
-    graph = None
-    for name, mean in means.items():
-        if weights[name] != 0.0:
-            term = mean if weights[name] == 1.0 else tz.scalar_mul(mean, weights[name])
-            graph = term if graph is None else tz.add(graph, term)
-    if graph is not None and graph.requires_grad:
-        optimizer.zero_grad()
-        graph.backward()
+    def forward_backward():
+        feature_map = encode(model.params, model.encoder_cfg, dataset.coords[rows])
+        logits = classify(model.params, feature_map)
+        # batch-mean loss terms in graph order; a head whose anchors have no live term stays out
+        means = {"ce": tz.mean_over_axes(tz.softmax_cross_entropy(logits, labels), (0,))}
+        embeddings = {}
+        skipped = 0
+        if cfg.framework_enabled:
+            embeddings = decouple(feature_map, model.params)
+            losses, skipped = contrast_losses(banks, embeddings, labels, rows, cfg.contrast_config())
+            means.update((name, tz.mean_over_axes(head, (0,))) for name, head in losses.items())
+
+        values = {name: means[name].item() if name in means else 0.0 for name in weights}
+        total = sum(weights[name] * values[name] for name in weights)
+        if tz.is_checked():
+            for name, value in (*values.items(), ("total", total)):
+                if not math.isfinite(value):
+                    raise NumericError(f"non-finite {name} loss at epoch {epoch} step {step}")
+
+        # zero-weighted terms stay out of the graph entirely
+        graph = None
+        for name, mean in means.items():
+            if weights[name] != 0.0:
+                term = mean if weights[name] == 1.0 else tz.scalar_mul(mean, weights[name])
+                graph = term if graph is None else tz.add(graph, term)
+        if graph is not None and graph.requires_grad:
+            optimizer.zero_grad()
+            graph.backward()
+        else:
+            graph = None
+        return logits, graph, values, total, embeddings, skipped
+
+    def boundaries(out):
+        logits, graph = out[:2]
+        yield "train_step", "logits", logits.data
+        if graph is not None:
+            yield "train_step", "loss", graph.data
+            for name, t in optimizer.named.items():
+                if t.grad is not None:
+                    yield "train_step", f"gradient of {name!r} at epoch {epoch} step {step}", t.grad
+
+    def rewind():
+        for bank, state in zip(head_banks, rng_states):
+            bank.rng.bit_generator.state = state
+
+    _, graph, values, total, embeddings, skipped = tz.checked_at_boundaries(forward_backward, boundaries, rewind)
+    if graph is not None:
         optimizer.step(lr)
     for name, anchors in embeddings.items():
         banks[name].update(rows, anchors.data, labels)
@@ -297,12 +327,21 @@ def train_step(
 
 def _tape_free(model: Model, coords: np.ndarray, decoupled: bool = False):
     """Tape-free forward of a (batch, joints, frames, 3) batch: the encoder, then the classifier head's
-    (batch, K) logits or, if `decoupled`, the decoupler's {"spatial", "temporal"} embeddings."""
-    with tz.no_grad():
-        feature_map = encode(model.params, model.encoder_cfg, coords)
+    (batch, K) logits or, if `decoupled`, the decoupler's {"spatial", "temporal"} embeddings.  In
+    checked mode these outputs are the only values scanned (`tz.checked_at_boundaries`)."""
+    def forward():
+        with tz.no_grad():
+            feature_map = encode(model.params, model.encoder_cfg, coords)
+            if decoupled:
+                return {name: head.data for name, head in decouple(feature_map, model.params).items()}
+            return classify(model.params, feature_map).data
+
+    def boundaries(out):
         if decoupled:
-            return {name: head.data for name, head in decouple(feature_map, model.params).items()}
-        return classify(model.params, feature_map).data
+            return [("forward", f"{name} embeddings", value) for name, value in out.items()]
+        return [("forward", "logits", out)]
+
+    return tz.checked_at_boundaries(forward, boundaries)
 
 
 def evaluate(model: Model, dataset: SkeletonDataset) -> EvalReport:
@@ -386,8 +425,8 @@ def load_model(path: str) -> tuple[Model, dict]:
     decoupler's embed_dim and reduction when the checkpoint holds
     ``decouple.*`` arrays.  Every size in the meta must be an integer, and
     the name table and every array shape must be those the configs build;
-    both are checked before anything is allocated, and any mismatch raises
-    DataFormatError.
+    both are checked before anything is allocated.  Every value must be
+    finite, in or out of checked mode.  Any mismatch raises DataFormatError.
     """
     arrays, meta = load_checkpoint(path)
     has_decoupler = any(k.startswith("decouple.") for k in arrays)
@@ -417,6 +456,8 @@ def load_model(path: str) -> tuple[Model, dict]:
     for name, shape in expected.items():
         if arrays[name].shape != shape:
             raise DataFormatError(f"{path}: array {name!r} has shape {arrays[name].shape}, its meta builds {shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise DataFormatError(f"{path}: array {name!r} holds a non-finite value")
     params = {name: Tensor(arrays[name], requires_grad=True) for name in expected}
     return Model(encoder_cfg=encoder_cfg, num_classes=num_classes, params=params), meta
 

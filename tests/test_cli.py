@@ -430,6 +430,17 @@ class TestEval:
         assert run_cli("eval", path, "-d", dataset_path) == cli.EXIT_DATA
         assert "'head.w' has shape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_checkpoint_with_non_finite_value_is_data_error(
+        self, workdir, trained_run, dataset_path, capsys, value
+    ):
+        def spoil_head(arrays, meta):
+            arrays["head.w"][0, 0] = value
+
+        path = self.edited_checkpoint(workdir, trained_run, f"head-{value}", spoil_head)
+        assert run_cli("eval", path, "-d", dataset_path) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: {path}: array 'head.w' holds a non-finite value\n"
+
 
     def test_train_on_an_overflowing_label_is_data_error(self, workdir, config_path, dataset_path, capsys):
         record = json.loads(dataset_path.read_text().splitlines()[0])

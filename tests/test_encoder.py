@@ -10,7 +10,7 @@ from stdcl.decoupling import decouple, init_decoupler
 from stdcl.encoder import EncoderConfig, classify, encode, init_params, mixing_matrix, param_shapes
 from stdcl.errors import ConfigError, DimensionError
 from stdcl.tensor import Tensor
-from stdcl.train import Model, evaluate, predict_logits
+from stdcl.train import TEST_CHUNK, Model, evaluate, predict_logits
 
 
 def tiny_cfg(**kw):
@@ -199,26 +199,32 @@ class TestInferencePath:
         assert instrumentation.count("bank_reads") == 0
         assert instrumentation.count("bank_writes") == 0
 
-    def test_chunk_scans_each_op_result_once(self, monkeypatch):
-        """Checked mode scans the input once and each arithmetic op's result once.
+    def test_scans_each_chunk_once_and_each_direct_op_once(self, monkeypatch):
+        """Checked mode scans one value per test-time chunk, its logits, and each op called directly.
 
-        The reshapes around each mixing product and the relu between the
-        blocks only move or mask scanned values, and the fixed mixing
-        matrix is a constant built once.
+        `evaluate` and `predict_logits` run their ops with per-op scans off
+        and scan only each chunk's logits.  Called directly, the encoder and
+        head scan the input once and each arithmetic op's result once: the
+        reshapes around each mixing product and the relu between the blocks
+        only move or mask scanned values, and the fixed mixing matrix is a
+        constant built once.
         """
         cfg = tiny_cfg(hidden=(4,))
         model = tiny_model(init_params(cfg, 4, seed=0), cfg)
-        coords = np.random.default_rng(6).standard_normal((16, 3, 8, 3))  # one evaluation chunk
-        dataset = dataset_of(coords, np.arange(16) % 4)
+        coords = np.random.default_rng(6).standard_normal((TEST_CHUNK + 4, 3, 8, 3))  # two evaluation chunks
+        dataset = dataset_of(coords, np.arange(len(coords)) % 4)
         evaluate(model, dataset)
         seen = []
-        monkeypatch.setattr(tz, "_scan", lambda data, op, what: seen.append(op))
+        monkeypatch.setattr(tz, "_scan", lambda data, op, what: seen.append((op, what, data.shape)))
         evaluate(model, dataset)
-        arithmetic = ["temporal_conv", "matmul"] * 2 + ["mean_over_axes", "matmul", "add"]
-        assert seen == ["tensor", *arithmetic]
+        assert seen == [("forward", "logits", (TEST_CHUNK, 4)), ("forward", "logits", (4, 4))]
         seen.clear()
         predict_logits(model, coords[0])
-        assert seen == ["tensor", *arithmetic]
+        assert seen == [("forward", "logits", (1, 4))]
+        seen.clear()
+        classify(model.params, encode(model.params, cfg, coords[:TEST_CHUNK]))
+        arithmetic = ["temporal_conv", "matmul"] * 2 + ["mean_over_axes", "matmul", "add"]
+        assert [op for op, _, _ in seen] == ["tensor", *arithmetic]
 
     def test_inference_leaves_no_grads(self):
         cfg = tiny_cfg()

@@ -17,7 +17,8 @@ from stdcl.contrast import make_banks
 from stdcl.data import SkeletonDataset, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from stdcl.decoupling import decouple
 from stdcl.encoder import EncoderConfig, classify, encode
-from stdcl.errors import ConfigError, DataFormatError
+from stdcl.errors import ConfigError, DataFormatError, NumericError
+from stdcl.experiments import DecouplingStudyConfig, ImprovementStudyConfig
 from stdcl.tensor import Tensor
 from stdcl.train import (
     METRICS_HEADER,
@@ -570,6 +571,17 @@ class TestEmbeddingsAndCheckpoint:
         b = predict_logits(back, ds[0].coords)
         np.testing.assert_allclose(a, b, atol=1e-6)
 
+    @pytest.mark.parametrize("checked", [True, False])
+    def test_non_finite_value_is_data_error_in_or_out_of_checked_mode(self, tmp_path, monkeypatch, checked):
+        cfg = tiny_train()
+        model = build_model(tiny_encoder(), 4, cfg)
+        model.params["decouple.spatial_reduce"].data[1, 0] = -np.inf
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, model.params, model_meta(model, cfg))
+        monkeypatch.setattr(tz, "_checked", checked)
+        with pytest.raises(DataFormatError, match=r"m\.ckpt: array 'decouple\.spatial_reduce' holds a non-finite value$"):
+            load_model(path)
+
     def test_load_without_decoupler(self, tmp_path):
         _, ds = tiny_dataset()
         cfg = tiny_train(framework_enabled=False)
@@ -579,3 +591,162 @@ class TestEmbeddingsAndCheckpoint:
         back, _ = load_model(path)
         assert sorted(back.params) == sorted(model.params)
         assert not any(name.startswith("decouple.") for name in back.params)
+
+
+
+# The three benchmark workloads' data, encoder and training configs (benchmarks/workloads.py)
+_LARGE_BANK_SPEC = SyntheticSpec(num_spatial=4, num_temporal=4, per_class=100, noise_std=0.1)
+WORKLOAD_CONFIGS = {
+    "decoupling": (DecouplingStudyConfig(epochs=1), DecouplingStudyConfig(epochs=1).synthetic_spec()),
+    "improvement": (ImprovementStudyConfig(epochs=1), ImprovementStudyConfig(epochs=1).synthetic_spec()),
+    "large-bank": (None, _LARGE_BANK_SPEC),
+}
+FAULTS = [(value, place) for value in (np.nan, np.inf, -np.inf) for place in ("first", "last", "all")]
+
+
+@pytest.fixture(scope="module", params=sorted(WORKLOAD_CONFIGS))
+def warm_workload(request):
+    """A workload's dataset, framework-on model, banks, optimizer and config after one epoch of steps
+    on shuffled rows, so that every slot is written and both heads are live; and that epoch's order."""
+    study, spec = WORKLOAD_CONFIGS[request.param]
+    if study is None:  # large-bank: the `stdcl train` defaults
+        encoder_cfg, cfg = EncoderConfig(joints=spec.joints, frames=spec.frames, channels=32), TrainConfig(epochs=1)
+    else:
+        encoder_cfg, cfg = study.encoder_config(), study.train_config(0)
+    ds = generate_synthetic(spec, seed=0)
+    model = build_model(encoder_cfg, ds.num_classes, cfg)
+    banks = make_banks(len(ds), cfg.embed_dim, cfg.seed)
+    opt = SGD(model.params, cfg.momentum, cfg.weight_decay)
+    order = np.random.default_rng(0).permutation(len(ds))
+    for step, start in enumerate(range(0, len(ds), cfg.batch_size)):
+        train_step(ds, order[start : start + cfg.batch_size], model, banks, cfg, opt, cfg.learning_rate, step=step)
+    return ds, model, banks, opt, cfg, order
+
+
+class TestCheckedAtBoundaries:
+    """A step or a test-time chunk checked at its boundaries raises what per-op scans raise.
+
+    For each op of a framework-on `train_step`, of `evaluate` and of
+    `embedding_report`, NaN, +inf or -inf is written into the op's result
+    (its first value, its last, or all of them), in the first run and in
+    the replay alike, as a deterministic fault would be.  The exception
+    must be the one raised when `tz.checked_at_boundaries` only calls its
+    function, so that every op scans its result.
+    """
+
+    @staticmethod
+    def op_names(monkeypatch, run):
+        names, make = [], tz._make
+        with monkeypatch.context() as m:
+            m.setattr(tz, "_make", lambda data, parents, fn, op: names.append(op) or make(data, parents, fn, op))
+            run()
+        return names
+
+    @staticmethod
+    def inject(monkeypatch, at, value, place):
+        """Write `value` into the result of op number `at` of each forward, counted from its `encode`."""
+        make, encode_fn, calls = tz._make, train.encode, [0]
+
+        def counted_encode(*args):
+            calls[0] = 0
+            return encode_fn(*args)
+
+        def faulty_make(data, parents, backward_fn, op):
+            if calls[0] == at:
+                data = np.array(data, copy=True)
+                data.reshape(-1)[{"first": 0, "last": -1, "all": slice(None)}[place]] = value
+            calls[0] += 1
+            return make(data, parents, backward_fn, op)
+
+        monkeypatch.setattr(train, "encode", counted_encode)
+        monkeypatch.setattr(tz, "_make", faulty_make)
+
+    @staticmethod
+    def outcome(run):
+        try:
+            run()
+        except Exception as exc:  # noqa: BLE001 - the type is what is compared
+            return type(exc), str(exc)
+        return None
+
+    def compare(self, monkeypatch, run, ops, reset=lambda: None):
+        """Each fault in each op raises the same exception from `run` as with per-op scans, and leaves
+        the same state (`reset()` returns it, and puts back the state `run` starts from)."""
+        for at, op in enumerate(ops):
+            for value, place in FAULTS:
+                with monkeypatch.context() as m:
+                    self.inject(m, at, value, place)
+                    got = self.outcome(run), reset()
+                    m.setattr(tz, "checked_at_boundaries", lambda run, boundaries, rewind=None: run())
+                    want = self.outcome(run), reset()
+                assert want[0] is not None, (at, op, value, place)
+                assert got == want, (at, op, value, place)
+
+    def test_every_op_of_a_train_step(self, warm_workload, monkeypatch):
+        ds, model, banks, opt, cfg, order = warm_workload
+        rows = order[: cfg.batch_size]
+        params = {name: t.data.copy() for name, t in model.params.items()}
+        features = {name: bank.features.copy() for name, bank in banks.items()}
+        states = [bank.rng.bit_generator.state for bank in banks.values()]
+
+        def run():
+            train_step(ds, rows, model, banks, cfg, opt, cfg.learning_rate, epoch=1, step=7)
+
+        def reset():
+            """The bank RNG states a run left, once the warm state is back."""
+            left = [bank.rng.bit_generator.state for bank in banks.values()]
+            for name, t in model.params.items():
+                t.data[...] = params[name]
+            for (name, bank), state in zip(banks.items(), states):
+                bank.features[...] = features[name]
+                bank.rng.bit_generator.state = state
+            return left
+
+        ops = self.op_names(monkeypatch, run)
+        reset()
+        assert ops.count("info_nce_batch") == 2  # both heads live
+        self.compare(monkeypatch, run, ops, reset)
+
+    @pytest.mark.parametrize("path", ["evaluate", "embedding_report"])
+    def test_every_op_of_a_test_time_chunk(self, warm_workload, monkeypatch, path):
+        ds, model, *_, order = warm_workload
+        rows = order[:TEST_CHUNK]
+        chunk = SkeletonDataset(ds.coords[rows], ds.targets[rows], ds.num_classes)
+        run = lambda: getattr(train, path)(model, chunk)  # noqa: E731
+        self.compare(monkeypatch, run, self.op_names(monkeypatch, run))
+
+    def test_non_finite_gradient_names_parameter_epoch_and_step(self, monkeypatch):
+        _, ds = tiny_dataset()
+        cfg = tiny_train()
+        model, banks, opt = warm_state(cfg, ds)
+        params = {name: t.data.copy() for name, t in model.params.items()}
+        features = {name: bank.features.copy() for name, bank in banks.items()}
+        backward = Tensor.backward
+
+        def spoiled(root):
+            backward(root)
+            model.params["decouple.temporal_embed"].grad[2, 1] = np.inf
+
+        monkeypatch.setattr(Tensor, "backward", spoiled)
+        with pytest.raises(NumericError) as caught:
+            train_step(ds, np.arange(4), model, banks, cfg, opt, cfg.learning_rate, epoch=3, step=11)
+        assert str(caught.value) == ("train_step: non-finite value in gradient of 'decouple.temporal_embed' "
+                                     "at epoch 3 step 11")
+        for name, t in model.params.items():
+            np.testing.assert_array_equal(t.data, params[name], err_msg=name)
+        for name, bank in banks.items():
+            np.testing.assert_array_equal(bank.features, features[name], err_msg=name)
+
+    def test_step_scans_its_logits_loss_and_gradients_once(self, monkeypatch):
+        _, ds = tiny_dataset()
+        cfg = tiny_train()
+        model, banks, opt = warm_state(cfg, ds)
+        seen = []
+        monkeypatch.setattr(tz, "_scan", lambda data, op, what: seen.append((op, what)))
+        train_step(ds, np.arange(4), model, banks, cfg, opt, cfg.learning_rate, epoch=0, step=5)
+        gradients = [("train_step", f"gradient of {name!r} at epoch 0 step 5") for name in model.params]
+        assert seen == [("train_step", "logits"), ("train_step", "loss"), *gradients]
+        seen.clear()
+        classify(model.params, encode(model.params, model.encoder_cfg, ds.coords[:4]))
+        assert [op for op, _ in seen] == ["tensor"] + ["temporal_conv", "matmul"] * 2 + [
+            "mean_over_axes", "matmul", "add"]
