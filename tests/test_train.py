@@ -594,25 +594,23 @@ class TestEmbeddingsAndCheckpoint:
 
 
 
-# The three benchmark workloads' data, encoder and training configs (benchmarks/workloads.py)
-_LARGE_BANK_SPEC = SyntheticSpec(num_spatial=4, num_temporal=4, per_class=100, noise_std=0.1)
-WORKLOAD_CONFIGS = {
-    "decoupling": (DecouplingStudyConfig(epochs=1), DecouplingStudyConfig(epochs=1).synthetic_spec()),
-    "improvement": (ImprovementStudyConfig(epochs=1), ImprovementStudyConfig(epochs=1).synthetic_spec()),
-    "large-bank": (None, _LARGE_BANK_SPEC),
-}
+# The studies whose configs the benchmark's decoupling and improvement workloads run
+# (benchmarks/workloads.py); large-bank runs the `stdcl train` defaults
+WORKLOAD_STUDIES = {"decoupling": DecouplingStudyConfig(epochs=1), "improvement": ImprovementStudyConfig(epochs=1),
+                    "large-bank": None}
 FAULTS = [(value, place) for value in (np.nan, np.inf, -np.inf) for place in ("first", "last", "all")]
 
 
-@pytest.fixture(scope="module", params=sorted(WORKLOAD_CONFIGS))
+@pytest.fixture(scope="module", params=sorted(WORKLOAD_STUDIES))
 def warm_workload(request):
     """A workload's dataset, framework-on model, banks, optimizer and config after one epoch of steps
     on shuffled rows, so that every slot is written and both heads are live; and that epoch's order."""
-    study, spec = WORKLOAD_CONFIGS[request.param]
-    if study is None:  # large-bank: the `stdcl train` defaults
+    study = WORKLOAD_STUDIES[request.param]
+    if study is None:
+        spec = SyntheticSpec(num_spatial=4, num_temporal=4, per_class=100, noise_std=0.1)
         encoder_cfg, cfg = EncoderConfig(joints=spec.joints, frames=spec.frames, channels=32), TrainConfig(epochs=1)
     else:
-        encoder_cfg, cfg = study.encoder_config(), study.train_config(0)
+        spec, encoder_cfg, cfg = study.synthetic_spec(), study.encoder_config(), study.train_config(0)
     ds = generate_synthetic(spec, seed=0)
     model = build_model(encoder_cfg, ds.num_classes, cfg)
     banks = make_banks(len(ds), cfg.embed_dim, cfg.seed)
