@@ -24,7 +24,7 @@ import struct
 import numpy as np
 
 from .atomic import atomic_path
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, NumericError
 from .tensor import Tensor
 
 MAGIC = b"CKPT"
@@ -32,6 +32,12 @@ VERSION = 1
 
 
 def save_checkpoint(path: str, arrays: dict, meta: dict) -> None:
+    """Write `arrays` as float32, in sorted name order, and `meta` to `path`.
+
+    NumericError, before anything is written, if an array holds a finite
+    value beyond float32's range: it would be stored as an infinity, which
+    `load_model` refuses.
+    """
     payload = [MAGIC, struct.pack("<I", VERSION)]
     meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     payload.append(struct.pack("<I", len(meta_blob)))
@@ -39,7 +45,11 @@ def save_checkpoint(path: str, arrays: dict, meta: dict) -> None:
     payload.append(struct.pack("<I", len(arrays)))
     for name in sorted(arrays):
         value = arrays[name]
-        data = np.asarray(value.data if isinstance(value, Tensor) else value, dtype="<f4")
+        value = np.asarray(value.data if isinstance(value, Tensor) else value)
+        with np.errstate(over="ignore"):  # checked below, naming the array
+            data = value.astype("<f4", copy=False)
+        if (np.isinf(data) & np.isfinite(value)).any():
+            raise NumericError(f"{path}: array {name!r} holds a finite value beyond float32's range")
         name_bytes = name.encode("utf-8")
         payload.append(struct.pack("<H", len(name_bytes)))
         payload.append(name_bytes)

@@ -1,17 +1,20 @@
 """Spatial/temporal feature decoupling.
 
 Splits each encoder feature map of a batch (batch, joints, frames,
-channels) into two fixed-size embeddings by averaging away one axis at a
-time:
+channels) into two fixed-size embeddings in two stages.  The pools
+(`pool`) average away one axis at a time:
 
-* the spatial branch averages over frames, keeping per-joint structure;
-* the temporal branch averages over joints, keeping per-frame structure.
+* the spatial pool averages over frames, keeping per-joint structure;
+* the temporal pool averages over joints, keeping per-frame structure.
 
-Each branch then applies a channel-reduction matrix (channels ->
-channels / reduction), flattens row-major, and projects to the shared
-embedding dimension.  Both branches are purely linear: the averaging is
-what separates the two factors, and any nonlinearity here would blur
-the attribution that the synthetic-data experiments rely on.
+The projections (`project`) then apply each branch's channel-reduction
+matrix (channels -> channels / reduction), flatten row-major, and project
+to the shared embedding dimension.  Both branches are purely linear: the
+averaging is what separates the two factors, and any nonlinearity here
+would blur the attribution that the synthetic-data experiments rely on.
+Training pools a feature map it built; the test-time path takes the same
+pools from `encoder.last_block_pools`, which never builds the map, and
+feeds them to the same projections.
 
 The four matrices carry their checkpoint names (``decouple.*``) from the
 moment they are made, so they sit in the model's one parameter dict
@@ -58,14 +61,18 @@ def init_decoupler(
     return named
 
 
-def decouple(feature_map: Tensor, params: dict[str, Tensor]) -> dict[str, Tensor]:
-    """(batch, joints, frames, channels) feature maps -> {"spatial", "temporal"} (batch, dim) embeddings.
+def pool(feature_map: Tensor) -> dict[str, Tensor]:
+    """(batch, joints, frames, channels) feature maps -> {"spatial": mean over frames (batch, joints,
+    channels), "temporal": mean over joints (batch, frames, channels)}."""
+    return {"spatial": tz.mean_over_axes(feature_map, (2,)), "temporal": tz.mean_over_axes(feature_map, (1,))}
+
+
+def project(pools: dict[str, Tensor], params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """The two pools of `pool` -> {"spatial", "temporal"} (batch, dim) embeddings.
 
     Reads the four ``decouple.*`` matrices of `params`; other entries are ignored.
     """
-    if len(feature_map.shape) != 4:
-        raise DimensionError(f"decouple expects a rank-4 feature map batch, got shape {feature_map.shape}")
-    batch, joints, frames, channels = feature_map.shape
+    (batch, joints, channels), frames = pools["spatial"].shape, pools["temporal"].shape[1]
     spatial_reduce, temporal_reduce = params["decouple.spatial_reduce"], params["decouple.temporal_reduce"]
     spatial_embed, temporal_embed = params["decouple.spatial_embed"], params["decouple.temporal_embed"]
     if channels != spatial_reduce.shape[0]:
@@ -85,12 +92,14 @@ def decouple(feature_map: Tensor, params: dict[str, Tensor]) -> dict[str, Tensor
         )
     instrumentation.bump("decouple_calls")
 
-    over_frames = tz.mean_over_axes(feature_map, (2,))  # (batch, joints, channels)
-    spatial_flat = tz.reshape(tz.matmul(over_frames, spatial_reduce), (batch, joints * reduced))
-    spatial = tz.matmul(spatial_flat, spatial_embed)
+    spatial_flat = tz.reshape(tz.matmul(pools["spatial"], spatial_reduce), (batch, joints * reduced))
+    temporal_flat = tz.reshape(tz.matmul(pools["temporal"], temporal_reduce), (batch, frames * reduced))
+    return {"spatial": tz.matmul(spatial_flat, spatial_embed), "temporal": tz.matmul(temporal_flat, temporal_embed)}
 
-    over_joints = tz.mean_over_axes(feature_map, (1,))  # (batch, frames, channels)
-    temporal_flat = tz.reshape(tz.matmul(over_joints, temporal_reduce), (batch, frames * reduced))
-    temporal = tz.matmul(temporal_flat, temporal_embed)
 
-    return {"spatial": spatial, "temporal": temporal}
+def decouple(feature_map: Tensor, params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """(batch, joints, frames, channels) feature maps -> {"spatial", "temporal"} (batch, dim) embeddings:
+    `project` of `pool`."""
+    if len(feature_map.shape) != 4:
+        raise DimensionError(f"decouple expects a rank-4 feature map batch, got shape {feature_map.shape}")
+    return project(pool(feature_map), params)

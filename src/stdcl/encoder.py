@@ -11,6 +11,13 @@ the last one, so the final feature map is unconstrained in sign.  A
 linear head on each globally averaged feature map produces a row of class
 logits.  A single sequence is the batch-of-one case.
 
+Training builds the whole feature map, which the decoupler needs frame by
+frame and joint by joint.  The test-time path needs only its pools, the
+means over frames and over joints, so `last_block_pools` computes them
+from the last block's input: the last block is linear, so the means
+commute with its convolution and mixing, and no (batch, joints,
+out_frames, channels) map is built.
+
 Parameters live in a flat dict keyed ``conv{i}.w``, ``conv{i}.b``,
 ``mix{i}`` (learned mixing only), ``head.w``, ``head.b`` so
 checkpointing and gradient checking can treat them uniformly.
@@ -141,8 +148,18 @@ def init_params(cfg: EncoderConfig, num_classes: int, seed: int) -> dict[str, Te
     return params
 
 
-def encode(params: dict[str, Tensor], cfg: EncoderConfig, coords: np.ndarray) -> Tensor:
-    """(batch, joints, frames, 3) coordinates -> (batch, joints, out_frames, channels) features."""
+def _mixing(params: dict[str, Tensor], cfg: EncoderConfig, layer: int) -> Tensor:
+    if cfg.joint_mixing == "fixed":
+        return _fixed_mixing(cfg.joints, tz.active_dtype())
+    return params[f"mix{layer}"]
+
+
+def encode(params: dict[str, Tensor], cfg: EncoderConfig, coords: np.ndarray, last_block: bool = True) -> Tensor:
+    """(batch, joints, frames, 3) coordinates -> (batch, joints, out_frames, channels) features.
+
+    Without `last_block`, the blocks before the last one run and their
+    output, the last block's input, is returned for `last_block_pools`.
+    """
     coords = np.asarray(coords)
     if coords.ndim != 4 or coords.shape[1:] != (cfg.joints, cfg.frames, 3):
         raise DimensionError(
@@ -150,25 +167,75 @@ def encode(params: dict[str, Tensor], cfg: EncoderConfig, coords: np.ndarray) ->
         )
     x = Tensor(coords)
     layers = len(cfg.hidden) + 1
-    fixed_mix = None
-    if cfg.joint_mixing == "fixed":
-        fixed_mix = _fixed_mixing(cfg.joints, tz.active_dtype())
-    for i in range(layers):
+    for i in range(layers if last_block else layers - 1):
         stride = cfg.temporal_stride if i == 0 else 1
         x = tz.temporal_conv(
             x, params[f"conv{i}.w"], params[f"conv{i}.b"],
             stride=stride, padding=cfg.temporal_padding,
         )
         batch, joints, frames, chans = x.shape
-        mix = fixed_mix if fixed_mix is not None else params[f"mix{i}"]
-        x = tz.reshape(tz.matmul(mix, tz.reshape(x, (batch, joints, frames * chans))), x.shape)
+        x = tz.reshape(tz.matmul(_mixing(params, cfg, i), tz.reshape(x, (batch, joints, frames * chans))), x.shape)
         if i < layers - 1:
             x = tz.relu(x)
     return x
 
 
-def classify(params: dict[str, Tensor], feature_map: Tensor) -> Tensor:
-    """Global average pool over joints and frames, then a linear head. Returns (batch, K) logits."""
-    pooled = tz.mean_over_axes(feature_map, (1, 2))
+@lru_cache(maxsize=16)
+def _tap_frame_means(kernel: int, frames: int, stride: int, padding: str, dtype: np.dtype) -> Tensor:
+    """(kernel, frames) constant S: row d averages, over the output frames of a `temporal_conv`, the
+    input frames that tap d reads; a frame out of range reads zero padding, or wraps if circular."""
+    t_out = -(-frames // stride)
+    read = np.arange(t_out)[:, None] * stride + np.arange(kernel)[None, :] - kernel // 2
+    if padding == "circular":
+        read %= frames
+    taps = np.broadcast_to(np.arange(kernel), read.shape)
+    inside = (read >= 0) & (read < frames)
+    counts = np.zeros((kernel, frames))
+    np.add.at(counts, (taps[inside], read[inside]), 1.0)
+    with tz.using_precision(dtype.name):
+        means = Tensor(counts / t_out)
+    means.data.flags.writeable = False
+    return means
+
+
+def last_block_pools(params: dict[str, Tensor], cfg: EncoderConfig, h: Tensor,
+                     over_joints: bool = True) -> dict[str, Tensor]:
+    """Pools of the feature map fm that `encode` builds, from the last block's input h (batch, joints,
+    frames, C_in) and without building fm: "spatial", fm's mean over frames (batch, joints, channels),
+    and, if `over_joints`, "temporal", its mean over joints (batch, out_frames, channels).
+
+    The last block is linear: fm = M y, where y = conv(h) + b and M mixes the
+    joints.  So mean_t fm = M (mean_t y), and mean_t y = (S h) W + b, where S
+    (`_tap_frame_means`) averages each tap's frames.  And mean_j fm = conv(c h)
+    + (sum c) b, where c holds M's column means: one convolution of a
+    one-joint input.
+    """
+    layer = len(cfg.hidden)
+    w, b = params[f"conv{layer}.w"], params[f"conv{layer}.b"]
+    mix = _mixing(params, cfg, layer)
+    kernel, c_in, c_out = w.shape
+    batch, joints, frames, _ = h.shape
+    stride = cfg.temporal_stride if layer == 0 else 1
+    tap_means = _tap_frame_means(kernel, frames, stride, cfg.temporal_padding, tz.active_dtype())
+    taps = tz.matmul(tap_means, tz.reshape(h, (batch * joints, frames, c_in)))  # (batch * joints, kernel, C_in)
+    y_mean = tz.add(tz.matmul(tz.reshape(taps, (batch * joints, kernel * c_in)),
+                              tz.reshape(w, (kernel * c_in, c_out))), b)
+    pools = {"spatial": tz.matmul(mix, tz.reshape(y_mean, (batch, joints, c_out)))}
+    if over_joints:
+        col_means = tz.mean_over_axes(mix, (0,))
+        h_mean = tz.matmul(tz.reshape(col_means, (1, joints)), tz.reshape(h, (batch, joints, frames * c_in)))
+        bias = tz.matmul(tz.reshape(tz.sum_over_axes(col_means, (0,)), (1, 1)), tz.reshape(b, (1, c_out)))
+        mean_j = tz.temporal_conv(tz.reshape(h_mean, (batch, 1, frames, c_in)), w, tz.reshape(bias, (c_out,)),
+                                  stride=stride, padding=cfg.temporal_padding)
+        pools["temporal"] = tz.reshape(mean_j, (batch, mean_j.shape[2], c_out))
+    return pools
+
+
+def head(params: dict[str, Tensor], pooled: Tensor) -> Tensor:
+    """The linear classifier head: (batch, channels) pooled features -> (batch, K) logits."""
     return tz.add(tz.matmul(pooled, params["head.w"]), params["head.b"])
 
+
+def classify(params: dict[str, Tensor], feature_map: Tensor) -> Tensor:
+    """Global average pool over joints and frames, then the head. Returns (batch, K) logits."""
+    return head(params, tz.mean_over_axes(feature_map, (1, 2)))

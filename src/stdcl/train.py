@@ -32,8 +32,8 @@ from .atomic import atomic_path
 from .checkpoint import load_checkpoint, save_checkpoint
 from .contrast import ContrastConfig, contrast_losses, make_banks
 from .data import SkeletonDataset
-from .decoupling import decouple, decoupler_shapes, init_decoupler
-from .encoder import EncoderConfig, classify, encode, init_params, param_shapes
+from .decoupling import decouple, decoupler_shapes, init_decoupler, project
+from .encoder import EncoderConfig, classify, encode, head, init_params, last_block_pools, param_shapes
 from .errors import ConfigError, DataFormatError, NumericError
 from .metrics import per_class_accuracy, silhouette_score, top1_accuracy
 from .rng import seeded_rng
@@ -326,15 +326,17 @@ def train_step(
 
 
 def _tape_free(model: Model, coords: np.ndarray, decoupled: bool = False):
-    """Tape-free forward of a (batch, joints, frames, 3) batch: the encoder, then the classifier head's
-    (batch, K) logits or, if `decoupled`, the decoupler's {"spatial", "temporal"} embeddings.  In
-    checked mode these outputs are the only values scanned (`tz.checked_at_boundaries`)."""
+    """Tape-free forward of a (batch, joints, frames, 3) batch: the classifier head's (batch, K) logits
+    or, if `decoupled`, the decoupler's {"spatial", "temporal"} embeddings.  The encoder's last block
+    runs pooled (`last_block_pools`), so its feature map is never built.  In checked mode these
+    outputs are the only values scanned (`tz.checked_at_boundaries`)."""
     def forward():
         with tz.no_grad():
-            feature_map = encode(model.params, model.encoder_cfg, coords)
+            h = encode(model.params, model.encoder_cfg, coords, last_block=False)
+            pools = last_block_pools(model.params, model.encoder_cfg, h, over_joints=decoupled)
             if decoupled:
-                return {name: head.data for name, head in decouple(feature_map, model.params).items()}
-            return classify(model.params, feature_map).data
+                return {name: embeddings.data for name, embeddings in project(pools, model.params).items()}
+            return head(model.params, tz.mean_over_axes(pools["spatial"], (1,))).data
 
     def boundaries(out):
         if decoupled:

@@ -292,6 +292,27 @@ class TestTrain:
         assert code == cli.EXIT_USAGE
         assert "parameters do not fit in memory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_parameter_beyond_float32_is_numeric_error_and_keeps_the_old_checkpoint(
+        self, workdir, config_path, capsys, monkeypatch, value
+    ):
+        """float32 would store the finite value as an infinity, which `stdcl eval` refuses."""
+        def init_params(*args, **kwargs):
+            params = train_init_params(*args, **kwargs)
+            params["head.w"].data[0, 0] = value
+            return params
+
+        train_init_params = train.init_params
+        monkeypatch.setattr(train, "init_params", init_params)
+        out = workdir / f"overflow{value:+g}"
+        out.mkdir()
+        (out / "model.ckpt").write_bytes(b"the previous checkpoint")
+        code = run_cli("train", "-c", config_path, "--out", out, "--epochs", 0)
+        assert code == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            f"error: {out / 'model.ckpt'}: array 'head.w' holds a finite value beyond float32's range\n")
+        assert (out / "model.ckpt").read_bytes() == b"the previous checkpoint"
+
     @pytest.mark.parametrize("flags, named", [
         (("--joints", 5, "--spatial-motifs", 2, "--temporal-motifs", 2),
          "eval dataset has 4 classes of 5 joints x 8 frames; the model takes at most 4 classes, of 4 x 8"),

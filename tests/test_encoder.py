@@ -10,7 +10,7 @@ from stdcl.decoupling import decouple, init_decoupler
 from stdcl.encoder import EncoderConfig, classify, encode, init_params, mixing_matrix, param_shapes
 from stdcl.errors import ConfigError, DimensionError
 from stdcl.tensor import Tensor
-from stdcl.train import TEST_CHUNK, Model, evaluate, predict_logits
+from stdcl.train import TEST_CHUNK, Model, _tape_free, embedding_report, evaluate, predict_logits
 
 
 def tiny_cfg(**kw):
@@ -226,6 +226,29 @@ class TestInferencePath:
         arithmetic = ["temporal_conv", "matmul"] * 2 + ["mean_over_axes", "matmul", "add"]
         assert [op for op, _, _ in seen] == ["tensor", *arithmetic]
 
+    def test_last_block_convolves_only_a_one_joint_input(self, monkeypatch):
+        """`evaluate` runs no convolution of the last block, and `embedding_report` runs it only on the
+        joint mean of its input: neither builds the (batch, joints, out_frames, channels) map."""
+        cfg = tiny_cfg(hidden=(4,))
+        params = init_params(cfg, 4, seed=0)
+        params.update(init_decoupler(joints=3, out_frames=cfg.out_frames, channels=6, reduction=2, dim=5, seed=0))
+        model = tiny_model(params, cfg)
+        dataset = dataset_of(np.random.default_rng(7).standard_normal((TEST_CHUNK + 4, 3, 8, 3)),
+                             np.arange(TEST_CHUNK + 4) % 4)
+        conv, convolved = tz.temporal_conv, []
+
+        def recorded(x, w, *args, **kwargs):
+            convolved.append((w is params["conv1.w"], x.shape))
+            return conv(x, w, *args, **kwargs)
+
+        monkeypatch.setattr(tz, "temporal_conv", recorded)
+        evaluate(model, dataset)
+        assert convolved == [(False, (TEST_CHUNK, 3, 8, 3)), (False, (4, 3, 8, 3))]
+        convolved.clear()
+        embedding_report(model, dataset)
+        assert convolved == [(False, (TEST_CHUNK, 3, 8, 3)), (True, (TEST_CHUNK, 1, 4, 4)),
+                             (False, (4, 3, 8, 3)), (True, (4, 1, 4, 4))]
+
     def test_inference_leaves_no_grads(self):
         cfg = tiny_cfg()
         params = init_params(cfg, 4, seed=0)
@@ -234,6 +257,50 @@ class TestInferencePath:
         evaluate(model, dataset_of(coords, [0, 1]))
         predict_logits(model, coords[0])
         assert all(p.grad is None for p in params.values())
+
+
+def relative_error(got, want) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestPooledLastBlock:
+    """The test-time path pools before the last block; it matches pooling the full map."""
+
+    @pytest.mark.parametrize("precision, tolerance", [("float64", 1e-12), ("float32", 1e-5)])
+    @pytest.mark.parametrize("mixing", ["fixed", "learned"])
+    @pytest.mark.parametrize("padding", ["zero", "circular"])
+    @pytest.mark.parametrize("hidden, stride, frames", [
+        ((), 1, 8), ((), 2, 7), ((), 3, 8), ((), 3, 4), ((), 2, 3), ((16,), 2, 9), ((8, 12), 2, 8),
+    ])  # 7, 8 and 3 frames are not multiples of the stride; 4 and 3 are fewer than the 5 taps
+    def test_logits_and_embeddings_match_the_full_map(self, precision, tolerance, mixing, padding,
+                                                     hidden, stride, frames):
+        cfg = EncoderConfig(joints=4, frames=frames, channels=8, temporal_stride=stride, hidden=hidden,
+                            kernel_size=5, joint_mixing=mixing, temporal_padding=padding)
+        rng = np.random.default_rng(11)
+        count = TEST_CHUNK + 3  # a short final chunk
+        coords = rng.standard_normal((count, 4, frames, 3))
+        with tz.using_precision(precision):
+            params = init_params(cfg, 4, seed=2)
+            params.update(init_decoupler(joints=4, out_frames=cfg.out_frames, channels=8, reduction=2, dim=6,
+                                         seed=2))
+            for name in params:  # biases start at zero; the pooled bias terms are checked only if they are not
+                if name.endswith(".b"):
+                    params[name] = Tensor(rng.standard_normal(params[name].shape), requires_grad=True)
+            model = tiny_model(params, cfg)
+            feature_map = encode(params, cfg, coords)
+            want = {"logits": classify(params, feature_map).data,
+                    **{name: head.data for name, head in decouple(feature_map, params).items()}}
+            report = embedding_report(model, dataset_of(coords, np.arange(count) % 4))
+            got = {
+                "logits": np.concatenate([_tape_free(model, coords[:TEST_CHUNK]), _tape_free(model, coords[TEST_CHUNK:])]),
+                "spatial": report.spatial,
+                "temporal": report.temporal,
+            }
+            one = predict_logits(model, coords[-1])
+        assert got["logits"].dtype == one.dtype == np.dtype(precision)
+        for name, value in got.items():
+            assert relative_error(value, want[name]) <= tolerance, name
+        assert relative_error(one, want["logits"][-1]) <= tolerance
 
 
 class TestMixing:
