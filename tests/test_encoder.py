@@ -291,11 +291,8 @@ class TestPooledLastBlock:
             want = {"logits": classify(params, feature_map).data,
                     **{name: head.data for name, head in decouple(feature_map, params).items()}}
             report = embedding_report(model, dataset_of(coords, np.arange(count) % 4))
-            got = {
-                "logits": np.concatenate([_tape_free(model, coords[:TEST_CHUNK]), _tape_free(model, coords[TEST_CHUNK:])]),
-                "spatial": report.spatial,
-                "temporal": report.temporal,
-            }
+            chunks = [_tape_free(model, coords[start : start + TEST_CHUNK]) for start in (0, TEST_CHUNK)]
+            got = {"logits": np.concatenate(chunks), "spatial": report.spatial, "temporal": report.temporal}
             one = predict_logits(model, coords[-1])
         assert got["logits"].dtype == one.dtype == np.dtype(precision)
         for name, value in got.items():
